@@ -76,9 +76,9 @@ BM_InnerJoinScratch(benchmark::State& state)
     const RankedBitmask ra(fa.mask), rb(fb.mask);
     const InnerJoinUnit unit(InnerJoinConfig{}, 4);
     JoinScratch scratch;
-    unit.join(fa, ra, fb, rb, scratch); // warm the scratch
+    unit.join(fa, ra, fb, rb, 0, scratch); // warm the scratch
     for (auto _ : state) {
-        const JoinResult& r = unit.join(fa, ra, fb, rb, scratch);
+        const JoinResult& r = unit.join(fa, ra, fb, rb, 0, scratch);
         benchmark::DoNotOptimize(r.matches);
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

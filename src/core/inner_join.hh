@@ -22,11 +22,14 @@
  * The final per-timestep full sums are pseudo - correction[t], exactly
  * Eq. (1) of the paper.
  *
- * The host-side kernel is allocation-free and word-parallel: matches
- * are extracted by ANDing the operands' 64-bit mask words directly
- * (one ctz per match), both fiber offsets come from the O(1)
- * RankedBitmask prefix tables compiled in prepare(), and all working
- * state lives in a caller-owned JoinScratch reused across calls.
+ * The host-side kernel makes one allocation-free pass over the fiber
+ * pair: the dispatched full-range forEachMatch visits only the non-zero
+ * AND words, both fiber offsets come from the O(1) RankedBitmask prefix
+ * tables compiled in prepare(), and chunks without a match advance the
+ * AND/encode frontier arithmetically instead of being scanned. The
+ * depth-D FIFOs are a ring of D check times: match i waits on the check
+ * of match i - D. Working state lives in a caller-owned JoinScratch
+ * reused across calls.
  */
 
 #pragma once
@@ -40,6 +43,22 @@
 #include "tensor/ranked_bitmask.hh"
 
 namespace loas {
+
+/**
+ * One coalesced read of matched packed spike words. Adjacent matched
+ * offsets form one span, and a span that starts in the cache line
+ * holding the previous run's last byte joins that run: the cache
+ * walks [addr, addr + bytes) once while `payload` bytes (the spans'
+ * sum) count as SRAM reads.
+ */
+struct SpikeRun
+{
+    std::uint64_t addr;
+    std::uint64_t bytes;
+    std::uint64_t payload;
+
+    bool operator==(const SpikeRun&) const = default;
+};
 
 /** Outcome of joining one spike fiber with one weight fiber. */
 struct JoinResult
@@ -59,8 +78,11 @@ struct JoinResult
     /** Packed spike-value bytes fetched from the global cache. */
     std::uint64_t spike_value_bytes = 0;
 
-    /** Matched positions, for the memory model's address streams. */
-    std::vector<std::uint32_t> matched_offsets_a;
+    /**
+     * The matched packed spike words as coalesced cache reads, in
+     * address order: one MemorySystem::readRun() each.
+     */
+    std::vector<SpikeRun> runs;
 
     OpCounts ops;
 };
@@ -75,31 +97,39 @@ struct JoinResult
 struct JoinScratch
 {
     JoinResult result;
-    std::vector<std::int64_t> correction;   // one slot per timestep
-    std::vector<std::uint64_t> fifo;        // in-flight check ring
+    std::vector<std::int64_t> correction; // one slot per timestep
+    std::vector<std::uint64_t> fifo;      // last fifo_depth check times
 };
 
 /** Cycle-level model of one TPPE's inner-join datapath. */
 class InnerJoinUnit
 {
   public:
-    InnerJoinUnit(const InnerJoinConfig& config, int timesteps);
+    /**
+     * `line_bytes` is the global cache's line size (a power of two):
+     * the granularity at which join() coalesces spike-value reads.
+     */
+    InnerJoinUnit(const InnerJoinConfig& config, int timesteps,
+                  std::uint32_t line_bytes = CacheConfig{}.line_bytes);
 
     /**
      * Join one fiber pair and produce the output neuron's full sums.
      * `rank_a` / `rank_b` must view the fibers' masks (compiled
-     * artifacts carry them). The returned reference points into
+     * artifacts carry them); `value_base` is the address of the spike
+     * fiber's first packed value. The returned reference points into
      * `scratch` and is valid until the next join() on that scratch.
      */
     const JoinResult& join(const SpikeFiber& fiber_a,
                            const RankedBitmask& rank_a,
                            const WeightFiber& fiber_b,
                            const RankedBitmask& rank_b,
+                           std::uint64_t value_base,
                            JoinScratch& scratch) const;
 
     /**
      * One-shot convenience for tests and harnesses: builds the rank
-     * tables and a private scratch, then returns the result by value.
+     * tables and a private scratch, then returns the result by value
+     * (spike values based at address 0).
      */
     JoinResult join(const SpikeFiber& fiber_a,
                     const WeightFiber& fiber_b) const;
@@ -108,8 +138,30 @@ class InnerJoinUnit
     int timesteps() const { return timesteps_; }
 
   private:
+    /**
+     * The one-pass join. join() runs this portable build, or the same
+     * code compiled with the POPCNT instruction when the resolved
+     * kernel ISA is AVX2 or better (every such host has POPCNT): the
+     * two rank counts and the zero-bit count of each match are
+     * otherwise library calls.
+     */
+    const JoinResult& walk(const SpikeFiber& fiber_a,
+                           const RankedBitmask& rank_a,
+                           const WeightFiber& fiber_b,
+                           const RankedBitmask& rank_b,
+                           std::uint64_t value_base,
+                           JoinScratch& scratch) const;
+    const JoinResult& walkPopcnt(const SpikeFiber& fiber_a,
+                                 const RankedBitmask& rank_a,
+                                 const WeightFiber& fiber_b,
+                                 const RankedBitmask& rank_b,
+                                 std::uint64_t value_base,
+                                 JoinScratch& scratch) const;
+
     InnerJoinConfig config_;
     int timesteps_;
+    int line_shift_;
+    bool popcnt_; // run walkPopcnt()
 };
 
 } // namespace loas

@@ -596,7 +596,8 @@ isaSupported(Isa isa)
         return true;
 #if LOAS_KERNELS_X86
     if (isa == Isa::Avx2)
-        return __builtin_cpu_supports("avx2") != 0;
+        return __builtin_cpu_supports("avx2") != 0 &&
+               __builtin_cpu_supports("popcnt") != 0;
     if (isa == Isa::Avx512)
         return __builtin_cpu_supports("avx512f") != 0 &&
                __builtin_cpu_supports("avx512bw") != 0 &&

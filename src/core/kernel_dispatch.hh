@@ -51,7 +51,8 @@ namespace kernels {
 enum class Isa : int
 {
     Scalar = 0, ///< Portable 64-bit words; the reference path.
-    Avx2 = 1,   ///< 256-bit AND/testz scan, pshufb-LUT popcount.
+    Avx2 = 1,   ///< 256-bit AND/testz scan, pshufb-LUT popcount;
+                ///< needs POPCNT too (the inner join's build).
     Avx512 = 2, ///< 512-bit scan; needs F+BW+VPOPCNTDQ.
 };
 

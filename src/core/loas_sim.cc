@@ -6,7 +6,6 @@
 #include "api/registry.hh"
 #include "common/bitutil.hh"
 #include "common/logging.hh"
-#include "common/parallel.hh"
 #include "core/compressor.hh"
 #include "core/inner_join.hh"
 #include "core/plif.hh"
@@ -112,7 +111,8 @@ LoasSim::executeInput(const CompiledLayer& compiled, std::size_t input,
     else
         scratch.mem->reset();
     MemorySystem& mem = *scratch.mem;
-    const InnerJoinUnit join_unit(config_.join, timesteps);
+    const InnerJoinUnit join_unit(config_.join, timesteps,
+                                  config_.cache.line_bytes);
     const Plif plif(config_.lif, timesteps);
     const OutputCompressor compressor(config_.join.laggy_adders,
                                       ft_compress_);
@@ -136,13 +136,14 @@ LoasSim::executeInput(const CompiledLayer& compiled, std::size_t input,
 
     std::uint64_t dram_bytes_seen = 0;
 
-    // Fetch + broadcast the weight fiber of each column touched by
-    // one wave (one SRAM read serves all PEs on that column).
-    const auto broadcastWave = [&](const WorkItem* items,
-                                   std::size_t count) {
+    for (std::size_t w = 0; w < scheduler.waveCount(); ++w) {
+        scheduler.wave(w, scratch.items);
+        const auto& items = scratch.items;
+
+        // Fetch + broadcast the weight fiber of each column touched by
+        // the wave (one SRAM read serves all PEs on that column).
         std::uint64_t prev_col = ~0ull;
-        for (std::size_t i = 0; i < count; ++i) {
-            const WorkItem& item = items[i];
+        for (const auto& item : items) {
             if (item.n == prev_col)
                 continue;
             prev_col = item.n;
@@ -152,74 +153,34 @@ LoasSim::executeInput(const CompiledLayer& compiled, std::size_t input,
                      kBaseBValues + b_val_off[item.n],
                      fibers_b[item.n].values.size());
         }
-    };
 
-    // Memory traffic, P-LIF firing, output and accounting of one item
-    // given its join result; returns the item's PE cycles. The serial
-    // path computes the join in place, the intra-layer path replays
-    // precomputed joins through this same code in the same order — the
-    // join itself never touches the memory system, so both produce the
-    // identical access sequence.
-    const auto processItem = [&](const WorkItem& item,
-                                 const JoinResult& jr) -> std::uint64_t {
-        // Stream the spike bitmask of this row into the TPPE.
-        mem.read(TensorCategory::Meta, kBaseAMeta + a_meta_off[item.m],
-                 fibers_a[item.m].metadataBytes());
-        {
-            // Matched packed spike words fetched from the global cache;
-            // adjacent offsets coalesce into one access, and accesses
-            // whose byte spans share a boundary cache line batch into a
-            // single line walk (the offsets are sorted, so runs only
-            // ever extend forward). Addresses are T-bit granular within
-            // the row's value region; the recorded SRAM traffic is
-            // exactly the consumed span bytes, so only the duplicate
-            // boundary-line lookups disappear.
-            const auto& offs = jr.matched_offsets_a;
-            const auto tbits = static_cast<std::uint64_t>(timesteps);
-            const std::uint64_t line = config_.cache.line_bytes;
-            const std::uint64_t row_base =
-                kBaseAValues + a_val_off[item.m];
-            std::uint64_t run_addr = 0;    // merged walk, [addr, end)
-            std::uint64_t run_end = 0;
-            std::uint64_t run_payload = 0;
-            for (std::size_t i = 0; i < offs.size();) {
-                std::size_t j = i + 1;
-                while (j < offs.size() && offs[j] == offs[j - 1] + 1)
-                    ++j;
-                const std::uint64_t first_bit = offs[i] * tbits;
-                const std::uint64_t span_bytes = ceilDiv<std::uint64_t>(
-                    (j - i) * tbits, 8);
-                const std::uint64_t addr = row_base + first_bit / 8;
-                if (run_payload != 0 &&
-                    addr / line <= (run_end - 1) / line) {
-                    run_end = std::max(run_end, addr + span_bytes);
-                    run_payload += span_bytes;
-                } else {
-                    if (run_payload != 0)
-                        mem.readRun(TensorCategory::Input, run_addr,
-                                    run_end - run_addr, run_payload);
-                    run_addr = addr;
-                    run_end = addr + span_bytes;
-                    run_payload = span_bytes;
-                }
-                i = j;
-            }
-            if (run_payload != 0)
-                mem.readRun(TensorCategory::Input, run_addr,
-                            run_end - run_addr, run_payload);
+        std::uint64_t wave_cycles = 0;
+        for (const auto& item : items) {
+            // Stream the spike bitmask of this row into the TPPE.
+            mem.read(TensorCategory::Meta, kBaseAMeta + a_meta_off[item.m],
+                     fibers_a[item.m].metadataBytes());
+            const JoinResult& jr = join_unit.join(
+                fibers_a[item.m], ranked_a[item.m], fibers_b[item.n],
+                ranked_b[item.n], kBaseAValues + a_val_off[item.m],
+                scratch.join);
+            // Matched packed spike words fetched from the global
+            // cache, as the join coalesced them: the recorded SRAM
+            // traffic is exactly the consumed span bytes, and each
+            // cache line is walked once per run.
+            for (const SpikeRun& run : jr.runs)
+                mem.readRun(TensorCategory::Input, run.addr, run.bytes,
+                            run.payload);
+
+            const PlifResult pr = plif.fire(jr.sums);
+            out_rows[item.m * n + item.n] = pr.spikes;
+            if (input == 0)
+                last_output_.setWord(item.m, item.n, pr.spikes);
+
+            result.ops += jr.ops;
+            result.ops += pr.ops;
+            wave_cycles = std::max(wave_cycles, jr.cycles);
         }
 
-        const PlifResult pr = plif.fire(jr.sums);
-        out_rows[item.m * n + item.n] = pr.spikes;
-        if (input == 0)
-            last_output_.setWord(item.m, item.n, pr.spikes);
-
-        result.ops += jr.ops;
-        result.ops += pr.ops;
-        return jr.cycles;
-    };
-
-    const auto finishWave = [&](std::uint64_t wave_cycles) {
         if (wave_cycles > wave_overlap + 1)
             wave_cycles -= wave_overlap;
         else
@@ -233,80 +194,6 @@ LoasSim::executeInput(const CompiledLayer& compiled, std::size_t input,
         result.total_cycles += std::max(
             wave_cycles, mem.dramCyclesFor(dram_now - dram_bytes_seen));
         dram_bytes_seen = dram_now;
-    };
-
-    const int layer_threads = layerThreads();
-    if (layer_threads <= 1 ||
-        scheduler.totalItems() < kIntraMinItems) {
-        // Serial reference path: join, traffic and accounting item by
-        // item, wave by wave.
-        for (std::size_t w = 0; w < scheduler.waveCount(); ++w) {
-            scheduler.wave(w, scratch.items);
-            const auto& items = scratch.items;
-            broadcastWave(items.data(), items.size());
-            std::uint64_t wave_cycles = 0;
-            for (const auto& item : items) {
-                const JoinResult& jr =
-                    join_unit.join(fibers_a[item.m], ranked_a[item.m],
-                                   fibers_b[item.n], ranked_b[item.n],
-                                   scratch.join);
-                wave_cycles =
-                    std::max(wave_cycles, processItem(item, jr));
-            }
-            finishWave(wave_cycles);
-        }
-    } else {
-        // Intra-layer parallel path. Phase A: the pure joins of one
-        // block of waves fan out across transient workers, each item
-        // into its own slot. Phase B: the block's waves replay
-        // serially in original order — every memory-system access and
-        // every cycle/ops update happens exactly as the serial path
-        // would, reading join results from the slots. Block
-        // boundaries are a fixed constant, so results are byte-
-        // identical at any thread count.
-        IntraScratch& intra = scratch.intra;
-        if (intra.worker_join.size() <
-            static_cast<std::size_t>(layer_threads))
-            intra.worker_join.resize(
-                static_cast<std::size_t>(layer_threads));
-        std::size_t w = 0;
-        while (w < scheduler.waveCount()) {
-            intra.block_items.clear();
-            intra.wave_sizes.clear();
-            while (w < scheduler.waveCount() &&
-                   intra.block_items.size() < kIntraBlockItems) {
-                scheduler.wave(w, scratch.items);
-                intra.wave_sizes.push_back(scratch.items.size());
-                intra.block_items.insert(intra.block_items.end(),
-                                         scratch.items.begin(),
-                                         scratch.items.end());
-                ++w;
-            }
-            if (intra.slots.size() < intra.block_items.size())
-                intra.slots.resize(intra.block_items.size());
-            parallelForWorkers(
-                intra.block_items.size(), layer_threads,
-                [&](std::size_t intra_worker, std::size_t i) {
-                    const WorkItem& item = intra.block_items[i];
-                    intra.slots[i] = join_unit.join(
-                        fibers_a[item.m], ranked_a[item.m],
-                        fibers_b[item.n], ranked_b[item.n],
-                        intra.worker_join[intra_worker]);
-                });
-            std::size_t cursor = 0;
-            for (const std::size_t wave_size : intra.wave_sizes) {
-                broadcastWave(intra.block_items.data() + cursor,
-                              wave_size);
-                std::uint64_t wave_cycles = 0;
-                for (std::size_t i = 0; i < wave_size; ++i)
-                    wave_cycles = std::max(
-                        wave_cycles,
-                        processItem(intra.block_items[cursor + i],
-                                    intra.slots[cursor + i]));
-                finishWave(wave_cycles);
-                cursor += wave_size;
-            }
-        }
     }
 
     // Drain the overlapped tail of the final wave, then the P-LIF

@@ -32,30 +32,40 @@ Scheduler::wave(std::size_t w, std::vector<WorkItem>& out) const
     // resident while every output column streams past it (good input
     // reuse for the IP dataflow); within a tile, the PEs of a wave
     // share a column and its broadcast weight fiber.
-    const auto ts = static_cast<std::size_t>(num_pes_);
-    const std::size_t full_tiles = m_ / ts;
-    const std::size_t items_per_full_tile = n_ * ts;
-    const std::size_t full_items = full_tiles * items_per_full_tile;
-    const std::size_t last_rows = m_ - full_tiles * ts;
-
-    auto item_at = [&](std::size_t i) {
-        if (i < full_items) {
-            const std::size_t tile = i / items_per_full_tile;
-            const std::size_t r = i % items_per_full_tile;
-            return WorkItem{tile * ts + r % ts, r / ts};
-        }
-        const std::size_t r = i - full_items;
-        return WorkItem{full_tiles * ts + r % last_rows, r / last_rows};
-    };
-
     out.clear();
+    const auto ts = static_cast<std::size_t>(num_pes_);
     const std::size_t begin = w * ts;
     if (begin >= m_ * n_)
         return;
     const std::size_t end = std::min(begin + ts, m_ * n_);
     out.reserve(end - begin);
-    for (std::size_t i = begin; i < end; ++i)
-        out.push_back(item_at(i));
+
+    // Locate the wave's first item, then step down the tile's rows and
+    // across its columns. A wave never leaves its tile: a full tile
+    // holds n * num_pes items, a whole number of waves, and the short
+    // last tile holds every item after the full ones.
+    const std::size_t full_items = (m_ / ts) * ts * n_;
+    std::size_t tile_row; // first row of the wave's tile
+    std::size_t rows;     // rows in that tile
+    std::size_t offset;   // items into the tile
+    if (begin < full_items) {
+        tile_row = begin / (n_ * ts) * ts;
+        rows = ts;
+        offset = begin - tile_row * n_;
+    } else {
+        tile_row = m_ / ts * ts;
+        rows = m_ - tile_row;
+        offset = begin - full_items;
+    }
+    std::size_t r = offset % rows;
+    std::size_t c = offset / rows;
+    for (std::size_t i = begin; i < end; ++i) {
+        out.push_back(WorkItem{tile_row + r, c});
+        if (++r == rows) {
+            r = 0;
+            ++c;
+        }
+    }
 }
 
 } // namespace loas

@@ -42,11 +42,6 @@ class Scheduler
      */
     void wave(std::size_t w, std::vector<WorkItem>& out) const;
 
-    /** Total output neurons. */
-    std::size_t totalItems() const { return m_ * n_; }
-
-    int numPes() const { return num_pes_; }
-
   private:
     std::size_t m_;
     std::size_t n_;

@@ -15,27 +15,43 @@ Cache::Cache(const CacheConfig& config) : config_(config)
         fatal("cache geometry invalid: %llu lines, %u ways",
               static_cast<unsigned long long>(lines), config.ways);
     num_sets_ = lines / config.ways;
+    line_shift_ = floorLog2(config.line_bytes);
+    sets_pow2_ = isPow2(num_sets_);
     lines_.resize(lines);
+    mru_.resize(num_sets_);
 }
 
 Cache::LineResult
 Cache::accessLine(std::uint64_t addr, bool write, TensorCategory cat)
 {
-    const std::uint64_t line_addr = addr / config_.line_bytes;
-    const std::uint64_t set = line_addr % num_sets_;
+    const std::uint64_t line_addr = addr >> line_shift_;
+    const std::uint64_t set = sets_pow2_ ? line_addr & (num_sets_ - 1)
+                                         : line_addr % num_sets_;
     Line* const set_base = &lines_[set * config_.ways];
     ++tick_;
 
     LineResult result{false, false, TensorCategory::Input};
 
+    // A tag lives in at most one way of its set, so a hit on the
+    // set's most recently used way is the line the scan would find.
+    std::uint32_t& mru = mru_[set];
+    const auto hitLine = [&](Line& line) {
+        line.last_use = tick_;
+        line.dirty = line.dirty || write;
+        ++hits_;
+        result.hit = true;
+    };
+    if (set_base[mru].valid && set_base[mru].tag == line_addr) {
+        hitLine(set_base[mru]);
+        return result;
+    }
+
     Line* victim = nullptr;
     for (std::uint32_t w = 0; w < config_.ways; ++w) {
         Line& line = set_base[w];
         if (line.valid && line.tag == line_addr) {
-            line.last_use = tick_;
-            line.dirty = line.dirty || write;
-            ++hits_;
-            result.hit = true;
+            hitLine(line);
+            mru = w;
             return result;
         }
         if (!victim || !line.valid ||
@@ -55,6 +71,7 @@ Cache::accessLine(std::uint64_t addr, bool write, TensorCategory cat)
     victim->tag = line_addr;
     victim->last_use = tick_;
     victim->cat = cat;
+    mru = static_cast<std::uint32_t>(victim - set_base);
     return result;
 }
 
@@ -76,6 +93,7 @@ Cache::reset()
 {
     for (auto& line : lines_)
         line = Line{};
+    mru_.assign(mru_.size(), 0);
     tick_ = 0;
     hits_ = 0;
     misses_ = 0;

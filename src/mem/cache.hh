@@ -42,7 +42,8 @@ class Cache
 
     /**
      * Access the line containing `addr`; allocate on miss (evicting
-     * LRU). `write` marks the line dirty.
+     * LRU). `write` marks the line dirty. The set's most recently used
+     * way is probed before the full scan.
      */
     LineResult accessLine(std::uint64_t addr, bool write,
                           TensorCategory cat);
@@ -60,6 +61,9 @@ class Cache
     }
 
     const CacheConfig& config() const { return config_; }
+
+    /** log2 of the line size (validated as a power of two). */
+    int lineShift() const { return line_shift_; }
 
     /**
      * Drop all contents, returning dirty bytes per category that must
@@ -86,7 +90,10 @@ class Cache
 
     CacheConfig config_;
     std::uint64_t num_sets_;
+    int line_shift_; // log2(line_bytes)
+    bool sets_pow2_; // set index by mask instead of modulo
     std::vector<Line> lines_; // num_sets * ways
+    std::vector<std::uint32_t> mru_; // per set: way of the last hit/fill
     std::uint64_t tick_ = 0;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;

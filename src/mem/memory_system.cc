@@ -43,10 +43,11 @@ MemorySystem::readRun(TensorCategory cat, std::uint64_t addr,
     const int c = static_cast<int>(cat);
     stats_.sram_read[c] += payload_bytes;
     const std::uint32_t line = cache_.config().line_bytes;
-    const std::uint64_t first = addr / line;
-    const std::uint64_t last = (addr + (bytes ? bytes - 1 : 0)) / line;
+    const int shift = cache_.lineShift();
+    const std::uint64_t first = addr >> shift;
+    const std::uint64_t last = (addr + (bytes ? bytes - 1 : 0)) >> shift;
     for (std::uint64_t l = first; l <= last; ++l) {
-        const auto result = cache_.accessLine(l * line, false, cat);
+        const auto result = cache_.accessLine(l << shift, false, cat);
         if (!result.hit)
             stats_.dram_read[c] += line;
         if (result.writeback) {
@@ -63,10 +64,11 @@ MemorySystem::write(TensorCategory cat, std::uint64_t addr,
     const int c = static_cast<int>(cat);
     stats_.sram_write[c] += bytes;
     const std::uint32_t line = cache_.config().line_bytes;
-    const std::uint64_t first = addr / line;
-    const std::uint64_t last = (addr + (bytes ? bytes - 1 : 0)) / line;
+    const int shift = cache_.lineShift();
+    const std::uint64_t first = addr >> shift;
+    const std::uint64_t last = (addr + (bytes ? bytes - 1 : 0)) >> shift;
     for (std::uint64_t l = first; l <= last; ++l) {
-        const auto result = cache_.accessLine(l * line, true, cat);
+        const auto result = cache_.accessLine(l << shift, true, cat);
         if (!result.hit)
             stats_.dram_read[c] += line; // write-allocate fill
         if (result.writeback) {

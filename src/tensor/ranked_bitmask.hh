@@ -244,10 +244,12 @@ forEachMatch(const RankedBitmask& a, const RankedBitmask& b,
  * Invoke fn(pos, rank_a, rank_b) for every position set in both masks
  * over the full length — the fused temporally-parallel join: one
  * 64-bit AND per weight word serves every timestep at once, with both
- * value offsets coming from the compiled prefix tables in O(1).
+ * value offsets coming from the compiled prefix tables in O(1). Always
+ * inlined, so a caller compiled for a wider target (the inner join's
+ * POPCNT build) counts the ranks with that target's instructions.
  */
 template <typename Fn>
-void
+[[gnu::always_inline]] inline void
 forEachMatch(const RankedBitmask& a, const RankedBitmask& b, Fn&& fn)
 {
     if (a.mask().size() != b.mask().size())

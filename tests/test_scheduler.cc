@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <vector>
 
 #include "core/scheduler.hh"
 
@@ -78,6 +80,58 @@ TEST(Scheduler, RowTileStaysResidentAcrossColumns)
     for (std::size_t i = 0; i < w0.size(); ++i) {
         EXPECT_EQ(w0[i].m, w1[i].m);
         EXPECT_NE(w0[i].n, w1[i].n);
+    }
+}
+
+/** A wave's items by the per-item closed form the walk replaced. */
+std::vector<WorkItem>
+referenceWave(std::size_t m, std::size_t n, int num_pes, std::size_t w)
+{
+    const auto ts = static_cast<std::size_t>(num_pes);
+    const std::size_t full_tiles = m / ts;
+    const std::size_t items_per_full_tile = n * ts;
+    const std::size_t full_items = full_tiles * items_per_full_tile;
+    const std::size_t last_rows = m - full_tiles * ts;
+
+    auto item_at = [&](std::size_t i) {
+        if (i < full_items) {
+            const std::size_t tile = i / items_per_full_tile;
+            const std::size_t r = i % items_per_full_tile;
+            return WorkItem{tile * ts + r % ts, r / ts};
+        }
+        const std::size_t r = i - full_items;
+        return WorkItem{full_tiles * ts + r % last_rows, r / last_rows};
+    };
+
+    std::vector<WorkItem> out;
+    const std::size_t begin = w * ts;
+    for (std::size_t i = begin; i < std::min(begin + ts, m * n); ++i)
+        out.push_back(item_at(i));
+    return out;
+}
+
+TEST(Scheduler, IncrementalWalkMatchesClosedForm)
+{
+    // m < pes, m % pes != 0 (a short last tile), m % pes == 0, and
+    // pes = 1; n from one column up.
+    const std::size_t shapes[][2] = {{1, 1},  {3, 7},   {7, 5},
+                                     {16, 4}, {17, 3},  {33, 9},
+                                     {40, 1}, {100, 13}};
+    std::vector<WorkItem> got;
+    for (const int pes : {1, 3, 16, 64}) {
+        for (const auto& [m, n] : shapes) {
+            const Scheduler sched(m, n, pes);
+            for (std::size_t w = 0; w <= sched.waveCount(); ++w) {
+                sched.wave(w, got);
+                const auto want = referenceWave(m, n, pes, w);
+                ASSERT_EQ(got.size(), want.size())
+                    << m << "x" << n << " pes=" << pes << " wave " << w;
+                for (std::size_t i = 0; i < want.size(); ++i) {
+                    EXPECT_EQ(got[i].m, want[i].m);
+                    EXPECT_EQ(got[i].n, want[i].n);
+                }
+            }
+        }
     }
 }
 

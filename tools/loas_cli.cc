@@ -755,14 +755,14 @@ runKernelBench(bool quick, std::uint64_t seed,
     const RankedBitmask rank_b(fb.mask);
     const InnerJoinUnit unit(InnerJoinConfig{}, 4);
     JoinScratch scratch;
-    unit.join(fa, rank_a, fb, rank_b, scratch); // warm the scratch
+    unit.join(fa, rank_a, fb, rank_b, 0, scratch); // warm the scratch
 
     const int join_iters = quick ? 20000 : 100000;
     const std::uint64_t allocs_before = allochook::allocationCount();
     const auto t_join = Clock::now();
     std::uint64_t matches = 0;
     for (int i = 0; i < join_iters; ++i)
-        matches += unit.join(fa, rank_a, fb, rank_b, scratch).matches;
+        matches += unit.join(fa, rank_a, fb, rank_b, 0, scratch).matches;
     const double join_s = seconds_since(t_join);
     const auto join_allocs = static_cast<double>(
         allochook::allocationCount() - allocs_before);
@@ -865,7 +865,7 @@ runKernelBench(bool quick, std::uint64_t seed,
     const auto t_sjoin = Clock::now();
     std::uint64_t smatches = 0;
     for (int i = 0; i < join_iters; ++i)
-        smatches += unit.join(fa, rank_a, fb, rank_b, scratch).matches;
+        smatches += unit.join(fa, rank_a, fb, rank_b, 0, scratch).matches;
     const double sjoin_s = seconds_since(t_sjoin);
     const auto t_sfused = Clock::now();
     for (int i = 0; i < t8_iters; ++i)
