@@ -126,7 +126,8 @@ quote(const std::string& s)
 }
 
 std::string
-toJson(const CompiledCache::Stats& stats)
+toJson(const CompiledCache::Stats& stats, std::uint64_t synth_layers,
+       double synth_ms)
 {
     return Obj()
         .field("hits", stats.hits)
@@ -141,6 +142,8 @@ toJson(const CompiledCache::Stats& stats)
         .field("entries", stats.entries)
         .field("bytes", stats.bytes)
         .field("compile_ms", stats.compile_ms)
+        .field("synth_layers", synth_layers)
+        .field("synth_ms", synth_ms)
         .render();
 }
 

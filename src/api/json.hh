@@ -32,7 +32,10 @@ std::string num(double v);
 /** Shift an already-rendered multi-line value two spaces deeper. */
 std::string shift(const std::string& rendered);
 
-std::string toJson(const CompiledCache::Stats& stats);
+/** The `--cache-stats` document: a run's cache counters plus the
+ *  workload synthesis it needed (SimReport::synth_layers/synth_ms). */
+std::string toJson(const CompiledCache::Stats& stats,
+                   std::uint64_t synth_layers, double synth_ms);
 std::string toJson(const OpCounts& ops);
 std::string toJson(const TrafficStats& traffic);
 std::string toJson(const EnergyBreakdown& energy);

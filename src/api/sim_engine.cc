@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <stdexcept>
 
@@ -81,8 +82,8 @@ SimEngine::run(const SimRequest& request) const
     const int threads = resolveThreads(request.threads);
 
     // Cancellation is cooperative and cell-granular: the token is
-    // polled before each unit of work, so a cancelled run stops
-    // within one workload synthesis / one cell simulation.
+    // polled before each cell, so a cancelled run stops within one
+    // cell simulation (including any workload synthesis it needs).
     const auto check_cancelled = [&] {
         if (request.cancel &&
             request.cancel->load(std::memory_order_relaxed))
@@ -90,32 +91,14 @@ SimEngine::run(const SimRequest& request) const
     };
     check_cancelled();
 
-    // Phase 1: synthesize each needed (network, ft-variant) workload
-    // once; the cached layers are shared read-only by every backend.
+    // Lower each layer through the shared compiled-workload cache and
+    // execute the (accelerator x network) job matrix. Each job owns a
+    // private accelerator instance and writes its fixed report slot,
+    // which keeps multi-threaded runs bit-identical to serial ones;
+    // compiled artifacts are shared read-only across all design
+    // variants of a format family (one compilation per key, whatever
+    // the thread count).
     const std::size_t n_nets = request.networks.size();
-    bool want_plain = false, want_ft = false;
-    for (const auto& accel : accels)
-        (accel.ft_workload ? want_ft : want_plain) = true;
-
-    std::vector<std::vector<LayerData>> plain(n_nets), ft(n_nets);
-    parallelFor(n_nets, threads, [&](std::size_t i) {
-        check_cancelled();
-        const NetworkSpec& net = request.networks[i];
-        if (want_plain)
-            plain[i] = generateNetwork(net, request.seed, /*ft=*/false,
-                                       request.batch);
-        if (want_ft)
-            ft[i] = generateNetwork(net, request.seed, /*ft=*/true,
-                                    request.batch);
-    });
-
-    // Phase 2: lower each layer through the shared compiled-workload
-    // cache and execute the (accelerator x network) job matrix. Each
-    // job owns a private accelerator instance and writes its fixed
-    // report slot, which keeps multi-threaded runs bit-identical to
-    // serial ones; compiled artifacts are shared read-only across all
-    // design variants of a format family (one compilation per key,
-    // whatever the thread count).
     SimReport report;
     report.runs.resize(accels.size() * n_nets);
     const EnergyModel energy_model(request.energy_params);
@@ -134,8 +117,35 @@ SimEngine::run(const SimRequest& request) const
     // cache mutex — not a before/after snapshot subtraction, so the
     // tally stays correct when concurrent runs share the cache.
     CompiledCache::Stats attributed;
-    std::atomic<std::uint64_t> sim_ns{0};
     using Clock = std::chrono::steady_clock;
+    const auto elapsed_ns = [](Clock::time_point start) {
+        return static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                Clock::now() - start)
+                .count());
+    };
+    std::atomic<std::uint64_t> sim_ns{0};
+
+    // Synthesis on demand: the first compile miss of a (network,
+    // ft-variant) generates the whole network once for every family.
+    struct Workload
+    {
+        std::once_flag once;
+        std::vector<LayerData> layers;
+    };
+    std::vector<Workload> workloads(2 * n_nets);  // [2 * net + ft]
+    std::atomic<std::uint64_t> synth_layers{0}, synth_ns{0};
+    const auto synthesize = [&](std::size_t n, bool ft) {
+        Workload& workload = workloads[2 * n + (ft ? 1 : 0)];
+        std::call_once(workload.once, [&] {
+            const auto t_synth = Clock::now();
+            workload.layers = generateNetwork(
+                request.networks[n], request.seed, ft, request.batch);
+            synth_ns += elapsed_ns(t_synth);
+            synth_layers += workload.layers.size();
+        });
+        return &workload.layers;
+    };
 
     // Batched cells parallelize *inside* a cell too, along the input
     // axis (results stay byte-identical at any split). Splitting the
@@ -153,7 +163,6 @@ SimEngine::run(const SimRequest& request) const
         const std::size_t n = i % n_nets;
         const AccelJob& accel = accels[a];
         const NetworkSpec& net = request.networks[n];
-        const auto& layers = accel.ft_workload ? ft[n] : plain[n];
 
         SimRun& run = report.runs[i];
         run.accel_spec = accel.spec_string;
@@ -161,15 +170,17 @@ SimEngine::run(const SimRequest& request) const
 
         const auto instance = registry.make(accel.spec);
         const std::string family = instance->formatFamily();
+        const std::vector<LayerData>* layers = nullptr;
         std::vector<std::shared_ptr<const CompiledLayer>> compiled;
-        compiled.reserve(layers.size());
-        for (std::size_t l = 0; l < layers.size(); ++l)
+        compiled.reserve(net.layers.size());
+        for (std::size_t l = 0; l < net.layers.size(); ++l)
             compiled.push_back(cache->getOrCompile(
                 compiledLayerKey(net.name, l, accel.ft_workload,
-                                 family, layers[l].spec.t,
+                                 family, net.layers[l].t,
                                  request.seed, request.batch),
-                [&] { return instance->prepare(layers[l]); },
-                &attributed));
+                [&] { return instance->prepare((*layers)[l]); },
+                &attributed,
+                [&] { layers = synthesize(n, accel.ft_workload); }));
 
         const auto t_exec = Clock::now();
         if (request.batch > 1)
@@ -177,10 +188,7 @@ SimEngine::run(const SimRequest& request) const
                 compiled, net.name, batch_threads, &run.per_input);
         else
             run.result = instance->runNetwork(compiled, net.name);
-        sim_ns += static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                Clock::now() - t_exec)
-                .count());
+        sim_ns += elapsed_ns(t_exec);
     });
 
     // Energy is a pure function of each cell's RunResult, so it is
@@ -202,8 +210,9 @@ SimEngine::run(const SimRequest& request) const
     report.compile_cache.entries = occupancy.entries;
     report.compile_cache.bytes = occupancy.bytes;
     report.prepare_ms = report.compile_cache.compile_ms;
-    report.sim_ms =
-        static_cast<double>(sim_ns.load()) / 1e6;
+    report.sim_ms = static_cast<double>(sim_ns.load()) / 1e6;
+    report.synth_layers = synth_layers.load();
+    report.synth_ms = static_cast<double>(synth_ns.load()) / 1e6;
     return report;
 }
 

@@ -5,17 +5,17 @@
  * executes every (accelerator, network) cell on a thread pool,
  * returning a SimReport of RunResult + EnergyBreakdown rows.
  *
- * Workload generation (the expensive synthesis of calibrated spike and
- * weight tensors) runs once per (network, ft-variant) and the cached
- * layers are shared read-only by every accelerator, so adding a design
- * to a sweep costs only its simulation time.
- *
- * Simulation itself is two-phase (see accel/accelerator.hh): each
- * layer is lowered by prepare() into compiled operand formats exactly
- * once per (network, layer, ft-variant, format family, timesteps) key
- * in a shared CompiledCache, and every design variant of that family
+ * Simulation is two-phase (see accel/accelerator.hh): each layer is
+ * lowered by prepare() into compiled operand formats exactly once per
+ * (network, layer, ft-variant, format family, timesteps) key in a
+ * shared CompiledCache, and every design variant of that family
  * executes the same read-only artifact — a `loas?pes=16,32,64` sweep
  * compresses its tensors once, not once per cell.
+ *
+ * Workloads are synthesized on demand: the first compile miss of a
+ * (network, ft-variant) generates the whole network once, shared by
+ * every format family. A run whose lookups all hit synthesizes
+ * nothing.
  *
  * Results are deterministic: each cell is simulated on a private
  * accelerator instance from seeded inputs and written to its fixed
@@ -89,9 +89,10 @@ struct SimRequest
     /**
      * Cooperative cancellation token, owned by the caller and shared
      * with whoever may cancel the run (the serve job queue sets it on
-     * cancel/timeout). The engine checks it between workload
-     * syntheses and between job-matrix cells — never mid-cell — and
-     * aborts by throwing SimCancelled. Null = not cancellable.
+     * cancel/timeout). The engine checks it before each job-matrix
+     * cell (a cell synthesizes the workloads it misses) — never
+     * mid-cell — and aborts by throwing SimCancelled. Null = not
+     * cancellable.
      */
     const std::atomic<bool>* cancel = nullptr;
 };
@@ -132,15 +133,20 @@ struct SimReport
      * runs share one cache concurrently — each run tallies only the
      * hits/misses/disk traffic its own getOrCompile calls caused);
      * entries/bytes are the shared cache's occupancy after the run.
-     * compile_ms is wall time and varies run to run.
+     * compile_ms is prepare time and varies run to run.
      */
     CompiledCache::Stats compile_cache;
 
-    /** Wall time spent compiling layers (prepare phase), summed. */
+    /** Time spent compiling (prepare) and executing layers, each
+     *  summed over workers: CPU sums, not wall time. */
     double prepare_ms = 0.0;
-
-    /** Wall time spent executing compiled layers, summed over workers. */
     double sim_ms = 0.0;
+
+    /** Layers this run synthesized on compile misses (0 when every
+     *  lookup hit), and the time that took, summed over workers. Not
+     *  part of the run JSON. */
+    std::uint64_t synth_layers = 0;
+    double synth_ms = 0.0;
 
     /** Cell lookup by request spec string + network name. */
     const SimRun* find(const std::string& accel_spec,

@@ -112,14 +112,20 @@ struct SweepReport
      * Compiled-workload cache accounting (SimReport passthrough): how
      * many prepare-phase compilations the whole sweep actually ran vs
      * how many were served from the shared cache. Not serialized —
-     * compile_ms is wall time, and the CSV/JSON artifacts must stay
+     * compile_ms is a timing, and the CSV/JSON artifacts must stay
      * thread-count invariant.
      */
     CompiledCache::Stats compile_cache;
 
-    /** Wall time compiling (prepare) vs executing (sim), summed. */
+    /** Time compiling (prepare) vs executing (sim), summed over
+     *  workers (SimReport passthrough). */
     double prepare_ms = 0.0;
     double sim_ms = 0.0;
+
+    /** Workload synthesis the sweep needed (SimReport passthrough;
+     *  0 layers when every artifact was cached). Not serialized. */
+    std::uint64_t synth_layers = 0;
+    double synth_ms = 0.0;
 
     std::vector<SweepCell> cells;
 

@@ -6,7 +6,6 @@
 #include "api/registry.hh"
 #include "common/bitutil.hh"
 #include "common/logging.hh"
-#include "common/parallel.hh"
 #include "core/fused_join.hh"
 #include "core/scheduler.hh"
 #include "mem/memory_system.hh"
@@ -43,41 +42,14 @@ CompiledLayer
 SpartenSim::prepare(const LayerData& layer) const
 {
     const int timesteps = layer.spec.t;
-    const std::size_t m = layer.spikes.rows();
-    const std::size_t k = layer.spikes.cols();
 
     auto art = std::make_shared<SpartenCompiled>();
     art->b = compileWeightColumns(layer.weights);
 
-    // Per-timestep bitmask views of the spike rows, one set per batch
-    // input. Rows are independent (row r touches only the T slots
-    // t*m + r), so the construction parallelizes per row; each packed
-    // word scatters via one ctz per set spike bit.
-    art->row_masks.resize(layer.batchSize());
-    for (std::size_t b = 0; b < layer.batchSize(); ++b) {
-        const SpikeTensor& spikes = layer.input(b);
-        auto& masks = art->row_masks[b];
-        masks.assign(static_cast<std::size_t>(timesteps) * m,
-                     Bitmask());
-        parallelFor(m, prepareParallelism(m), [&](std::size_t r) {
-            for (int t = 0; t < timesteps; ++t)
-                masks[static_cast<std::size_t>(t) * m + r] = Bitmask(k);
-            for (std::size_t c = 0; c < k; ++c) {
-                TimeWord w = spikes.word(r, c);
-                while (w) {
-                    const int t = lowestSetBit(w);
-                    w &= w - 1;
-                    masks[static_cast<std::size_t>(t) * m + r].set(c);
-                }
-            }
-        });
-    }
-
-    // Temporally-packed view of the same rows for the fused datapath,
-    // plus the per-row density signal its collapse policy keys on. The
-    // artifact carries both views so the fused=0/1 design variants
-    // share one compilation (artifacts never depend on hardware
-    // options).
+    // Temporally-packed view of each batch input's rows, plus the
+    // per-row density signal the fused collapse policy keys on. The
+    // artifact never depends on hardware options, so the fused=0/1
+    // design variants share one compilation.
     art->packed.reserve(layer.batchSize());
     art->dense_nnz.reserve(layer.batchSize());
     for (std::size_t b = 0; b < layer.batchSize(); ++b) {
@@ -87,9 +59,6 @@ SpartenSim::prepare(const LayerData& layer) const
     }
 
     std::size_t bytes = art->b.footprintBytes();
-    for (const auto& masks : art->row_masks)
-        for (const auto& mask : masks)
-            bytes += mask.storageBytes();
     for (const auto& packed : art->packed)
         bytes += packed.footprintBytes(timesteps);
     for (const auto& counts : art->dense_nnz)
@@ -118,11 +87,11 @@ SpartenSim::executeInput(const CompiledLayer& compiled,
     }
     const auto& art =
         artifactAs<SpartenCompiled>(compiled, formatFamily());
-    if (input >= art.row_masks.size())
+    if (input >= art.packed.size())
         fatal("layer '%s': input %zu of a %zu-input batch",
-              compiled.spec.name.c_str(), input, art.row_masks.size());
-    const std::vector<Bitmask>& row_masks = art.row_masks[input];
+              compiled.spec.name.c_str(), input, art.packed.size());
     const int timesteps = compiled.timesteps;
+    const auto tcount = static_cast<std::size_t>(timesteps);
     const std::size_t m = compiled.m;
     const std::size_t k = compiled.k;
     const std::size_t n = compiled.n;
@@ -153,8 +122,8 @@ SpartenSim::executeInput(const CompiledLayer& compiled,
     if (input == 0)
         last_output_.reset(m, n, timesteps);
 
-    scratch.sums.assign(static_cast<std::size_t>(timesteps), 0);
-    scratch.correction.assign(static_cast<std::size_t>(timesteps), 0);
+    scratch.sums.assign(tcount, 0);
+    scratch.correction.assign(tcount, 0);
     std::vector<std::int32_t>& sums = scratch.sums;
     const CompiledSpikeFibers& packed = art.packed[input];
     const std::vector<std::uint32_t>& dense_nnz = art.dense_nnz[input];
@@ -179,6 +148,8 @@ SpartenSim::executeInput(const CompiledLayer& compiled,
 
         std::uint64_t wave_cycles = 0;
         for (const auto& item : items) {
+            const SpikeFiber& fa = packed.fibers[item.m];
+            const RankedBitmask& ranked_a = packed.ranked[item.m];
             const WeightFiber& fb = fibers_b[item.n];
             std::uint64_t pe_cycles = 0;
             if (config_.fused) {
@@ -186,7 +157,7 @@ SpartenSim::executeInput(const CompiledLayer& compiled,
                 // temporal words, fetched once for all T timesteps.
                 mem.read(TensorCategory::Meta,
                          kBaseAMeta + packed.meta_off[item.m],
-                         packed.fibers[item.m].metadataBytes());
+                         fa.metadataBytes());
                 const std::uint64_t value_bytes =
                     packed.val_off[item.m + 1] - packed.val_off[item.m];
                 if (value_bytes)
@@ -197,14 +168,12 @@ SpartenSim::executeInput(const CompiledLayer& compiled,
                 // once, and every match fans its weight out to all T
                 // accumulators — or collapses through the pseudo-
                 // accumulator when the row's train is dense in time.
-                const SpikeFiber& fa = packed.fibers[item.m];
                 const bool collapse =
                     shouldCollapse(dense_nnz[item.m], fa.nnz(),
                                    config_.collapse_threshold);
                 const FusedJoinStats stats = fusedTemporalJoin(
-                    fa, packed.ranked[item.m], fb, ranked_b[item.n],
-                    timesteps, collapse, sums.data(),
-                    scratch.correction.data());
+                    fa, ranked_a, fb, ranked_b[item.n], timesteps,
+                    collapse, sums.data(), scratch.correction.data());
                 // Both operands are compressed here, so both prefix
                 // circuits fire per match (like the ANN datapath).
                 result.ops.mask_and_ops += chunks;
@@ -214,36 +183,27 @@ SpartenSim::executeInput(const CompiledLayer& compiled,
                 pe_cycles =
                     config_.fusedJoinCycles(chunks, stats.updates());
             } else {
-                for (int t = 0; t < timesteps; ++t) {
-                    const auto ts = static_cast<std::size_t>(t);
-                    // The raw spike train is bitmask and data at once;
-                    // every bit of the row is fetched, every timestep
-                    // again.
+                // The raw spike train is bitmask and data at once;
+                // every bit of the row is fetched, every timestep
+                // again.
+                for (std::size_t t = 0; t < tcount; ++t)
                     mem.read(TensorCategory::Input,
-                             kBaseA + (ts * m + item.m) * row_bytes,
+                             kBaseA + (t * m + item.m) * row_bytes,
                              row_bytes);
-                    // Accumulate matched weights, one per cycle; a
-                    // single fast prefix-sum serves the weight side
-                    // (the spike is its own data). Word-parallel: AND
-                    // the mask words directly, with the weight offset
-                    // from the compiled rank table — no materialized
-                    // AND mask.
-                    const Bitmask& ma = row_masks[ts * m + item.m];
-                    std::uint64_t matches = 0;
-                    std::int32_t acc = 0;
-                    forEachMatch(ma, ranked_b[item.n],
-                                 [&](std::size_t, std::size_t b_off) {
-                                     acc += fb.values[b_off];
-                                     ++matches;
-                                 });
-                    sums[ts] = acc;
-                    result.ops.fast_prefix_ops += matches;
-                    result.ops.acc_ops += matches;
-                    pe_cycles +=
-                        config_.timestepJoinCycles(chunks, matches);
-                }
-                result.ops.mask_and_ops +=
-                    chunks * static_cast<std::uint64_t>(timesteps);
+                // T joins of one match per cycle, one fast prefix-sum
+                // (the spike is its own data). Timestep t's matches
+                // are the packed matches with bit t set, so one
+                // fan-out join gives every sum, and its acc_ops is
+                // the sum of the per-timestep match counts.
+                const FusedJoinStats stats = fusedTemporalJoin(
+                    fa, ranked_a, fb, ranked_b[item.n], timesteps,
+                    /*collapse=*/false, sums.data());
+                result.ops.mask_and_ops += chunks * tcount;
+                result.ops.fast_prefix_ops += stats.acc_ops;
+                result.ops.acc_ops += stats.acc_ops;
+                pe_cycles =
+                    tcount * config_.timestepJoinCycles(chunks, 0) +
+                    stats.acc_ops;
             }
             const TimeWord spikes = lifAcrossTimesteps(sums, config_.lif);
             result.ops.lif_ops += static_cast<std::uint64_t>(timesteps);

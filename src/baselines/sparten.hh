@@ -11,7 +11,9 @@
  * bits are fetched), ANDs it chunk-by-chunk with the weight column's
  * bitmask, and accumulates matched weights at one match per cycle; a
  * LIF step closes each timestep. Each extra timestep pays a full
- * mask-scan plus an inner-join pipeline restart.
+ * mask-scan plus an inner-join pipeline restart. The host evaluates
+ * this from the packed operand: one fan-out join (core/fused_join.hh)
+ * yields every per-timestep sum and match count.
  *
  * The ANN mode (Fig. 18) keeps the original SparTen datapath: both
  * operands compressed as bitmask+values, two fast prefix-sum circuits
@@ -98,19 +100,15 @@ struct SpartenConfig
 
 /**
  * Compiled SparTen-SNN operands: B in column-fiber form plus, per
- * batch input, both views of the A operand — the per-timestep bitmask
- * views the sequential-timestep datapath scans (timestep-major: mask
- * of row m at timestep t of input b is `row_masks[b][t * M + m]`) and
- * the temporally-packed spike fibers the fused datapath joins in one
- * pass, with the per-row dense-timeword counts its collapse policy
- * keys on. Artifacts depend only on layer data, so the fused=0/1
- * design variants share one compilation.
+ * batch input, the temporally-packed spike fibers of A that both
+ * datapaths join, with the per-row dense-timeword counts the fused
+ * datapath's collapse policy keys on. Artifacts depend only on layer
+ * data, so the fused=0/1 design variants share one compilation.
  */
 struct SpartenCompiled : CompiledArtifact
 {
     CompiledWeightFibers b;  // columns of B (shared by the batch)
-    std::vector<std::vector<Bitmask>> row_masks;  // per input: T x M
-    std::vector<CompiledSpikeFibers> packed;      // per input: M fibers
+    std::vector<CompiledSpikeFibers> packed;  // per input: M fibers
     /** Per input, per row: stored temporal words that are all ones. */
     std::vector<std::vector<std::uint32_t>> dense_nnz;
 };

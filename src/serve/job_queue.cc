@@ -351,6 +351,8 @@ JobQueue::workerLoop()
             }
             member->compile_ms = report.compile_cache.compile_ms;
             member->sim_ms = report.sim_ms;
+            member->synth_ms = report.synth_ms;
+            member->synth_layers = report.synth_layers;
             // Throughput this job observed: its own inference count
             // (batch x sliced cells) over the shared run's wall time.
             if (run_ms > 0.0)
@@ -381,6 +383,8 @@ JobQueue::snapshotLocked(const Job& job) const
     out.run_ms = job.run_ms;
     out.compile_ms = job.compile_ms;
     out.sim_ms = job.sim_ms;
+    out.synth_ms = job.synth_ms;
+    out.synth_layers = job.synth_layers;
     out.inferences_per_s = job.inferences_per_s;
     out.cache = job.cache;
     out.report_json = job.report_json;

@@ -126,6 +126,8 @@ class JobQueue
         double run_ms = 0.0;      // dequeue -> terminal (wall)
         double compile_ms = 0.0;  // engine prepare phase
         double sim_ms = 0.0;      // engine execute phase
+        double synth_ms = 0.0;    // workload synthesis on misses
+        std::uint64_t synth_layers = 0;
 
         /** Served throughput of THIS job: batch x its own cell count
          *  / run wall time; set only in state Done. */
@@ -238,6 +240,8 @@ class JobQueue
         double run_ms = 0.0;
         double compile_ms = 0.0;
         double sim_ms = 0.0;
+        double synth_ms = 0.0;
+        std::uint64_t synth_layers = 0;
         double inferences_per_s = 0.0;
         CompiledCache::Stats cache;
         std::shared_ptr<const std::string> report_json;

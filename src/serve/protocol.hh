@@ -1,7 +1,7 @@
 /**
  * @file
  * Wire protocol of the `loas_cli serve` daemon: newline-delimited JSON
- * over a local stream socket, schema `loas-serve/4`. Every request is
+ * over a local stream socket, schema `loas-serve/5`. Every request is
  * one JSON object on one line, every reply one JSON object on one
  * line; a connection may issue any number of requests sequentially.
  * (serve/2 added the optional "batch" submit field and the
@@ -10,7 +10,8 @@
  * field on failed-job replies and the disk circuit-breaker fields —
  * disk_trips, disk_tmp_swept, disk_degraded — in cache stats.
  * serve/4 added the resolved SIMD "isa" and the "workers" pool-sizing
- * object to the version and stats replies. All are additive; older
+ * object to the version and stats replies. serve/5 added "synth_ms"
+ * and "synth_layers" to per-request stats. All are additive; older
  * clients keep working unchanged.)
  *
  * Requests ("cmd" selects one):
@@ -50,8 +51,10 @@
  * failed; a done reply embeds the full report document as the JSON
  * string field "report" — exactly the bytes `loas_cli run --json`
  * would have written — plus per-request "stats" (queue_ms, run_ms,
- * compile_ms, sim_ms, inferences_per_s — batch x runs / run wall
- * time — and the exact attributed cache counters).
+ * compile_ms — prepare time —, sim_ms, synth_ms and synth_layers —
+ * the workload synthesis the run needed, 0 when every artifact was
+ * cached —, inferences_per_s — batch x runs / run wall time — and the
+ * exact attributed cache counters).
  */
 
 #pragma once

@@ -27,6 +27,9 @@ namespace {
  *  per-connection buffer a hostile client can grow. */
 constexpr std::size_t kMaxRequestLineBytes = 1 << 20;
 
+/** Accept-loop back-off when accept() runs out of fds. */
+constexpr int kAcceptBackoffMs = 50;
+
 /** write() the whole buffer, riding out EINTR/short writes. */
 bool
 writeAll(int fd, const std::string& data)
@@ -168,9 +171,17 @@ Server::run()
         if ((fds[0].revents & POLLIN) == 0)
             continue;
         const int fd = ::accept(listen_fd_, nullptr, nullptr);
+        const int accept_errno = errno;
         reapFinishedConnections();
-        if (fd < 0)
+        if (fd < 0) {
+            // Out of fds, the listen socket stays readable: wait on
+            // the wake pipe alone instead of spinning a core.
+            if (accept_errno == EMFILE || accept_errno == ENFILE) {
+                pollfd wake = {wake_read_fd_, POLLIN, 0};
+                ::poll(&wake, 1, kAcceptBackoffMs);
+            }
             continue;
+        }
         if (fault::shouldFail(fault::Site::SocketAccept)) {
             // Injected accept failure: this client's connection is
             // dropped (it retries); the accept loop itself lives on.
@@ -458,6 +469,8 @@ Server::jobReply(const JobQueue::Result& result) const
     out += ", \"run_ms\": " + json::num(result.run_ms);
     out += ", \"compile_ms\": " + json::num(result.compile_ms);
     out += ", \"sim_ms\": " + json::num(result.sim_ms);
+    out += ", \"synth_ms\": " + json::num(result.synth_ms);
+    out += ", \"synth_layers\": " + json::num(result.synth_layers);
     out += ", \"inferences_per_s\": " +
            json::num(result.inferences_per_s);
     out += ", \"cache\": " + cacheStatsJson(result.cache);

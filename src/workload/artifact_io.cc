@@ -55,8 +55,11 @@ getRanked(Reader& in, const Bitmask& mask, RankedBitmask& ranked)
     return true;
 }
 
+/** A compiled fiber set (CompiledWeightFibers / CompiledSpikeFibers):
+ *  per fiber its mask, values and rank table, then the offset tables. */
+template <typename Fibers>
 void
-putWeightFibers(Writer& out, const CompiledWeightFibers& fibers)
+putFibers(Writer& out, const Fibers& fibers)
 {
     out.u64(fibers.fibers.size());
     for (std::size_t i = 0; i < fibers.fibers.size(); ++i) {
@@ -68,41 +71,9 @@ putWeightFibers(Writer& out, const CompiledWeightFibers& fibers)
     out.vec(fibers.val_off);
 }
 
+template <typename Fibers>
 bool
-getWeightFibers(Reader& in, CompiledWeightFibers& fibers)
-{
-    std::uint64_t count = 0;
-    if (!in.u64(count))
-        return false;
-    fibers.fibers.resize(static_cast<std::size_t>(count));
-    fibers.ranked.resize(fibers.fibers.size());
-    for (std::size_t i = 0; i < fibers.fibers.size(); ++i) {
-        if (!getBitmask(in, fibers.fibers[i].mask) ||
-            !in.vec(fibers.fibers[i].values) ||
-            !getRanked(in, fibers.fibers[i].mask, fibers.ranked[i]))
-            return false;
-    }
-    if (!in.vec(fibers.meta_off) || !in.vec(fibers.val_off))
-        return false;
-    return fibers.meta_off.size() == fibers.fibers.size() + 1 &&
-           fibers.val_off.size() == fibers.fibers.size() + 1;
-}
-
-void
-putSpikeFibers(Writer& out, const CompiledSpikeFibers& fibers)
-{
-    out.u64(fibers.fibers.size());
-    for (std::size_t i = 0; i < fibers.fibers.size(); ++i) {
-        putBitmask(out, fibers.fibers[i].mask);
-        out.vec(fibers.fibers[i].values);
-        out.vec(fibers.ranked[i].prefixTable());
-    }
-    out.vec(fibers.meta_off);
-    out.vec(fibers.val_off);
-}
-
-bool
-getSpikeFibers(Reader& in, CompiledSpikeFibers& fibers)
+getFibers(Reader& in, Fibers& fibers)
 {
     std::uint64_t count = 0;
     if (!in.u64(count))
@@ -131,8 +102,8 @@ putLoas(Writer& out, const LoasCompiled& art)
 {
     out.u64(art.a.size());
     for (const auto& a : art.a)
-        putSpikeFibers(out, a);
-    putWeightFibers(out, art.b);
+        putFibers(out, a);
+    putFibers(out, art.b);
 }
 
 std::shared_ptr<const CompiledArtifact>
@@ -144,9 +115,9 @@ getLoas(Reader& in)
         return nullptr;
     art->a.resize(static_cast<std::size_t>(batch));
     for (auto& a : art->a)
-        if (!getSpikeFibers(in, a))
+        if (!getFibers(in, a))
             return nullptr;
-    if (!getWeightFibers(in, art->b))
+    if (!getFibers(in, art->b))
         return nullptr;
     return art;
 }
@@ -154,17 +125,12 @@ getLoas(Reader& in)
 void
 putSparten(Writer& out, const SpartenCompiled& art)
 {
-    putWeightFibers(out, art.b);
-    out.u64(art.row_masks.size());
-    for (const auto& masks : art.row_masks) {
-        out.u64(masks.size());
-        for (const auto& mask : masks)
-            putBitmask(out, mask);
-    }
-    // Format v3: the temporally-packed view of the same inputs (the
-    // fused datapath's operand) plus its per-row dense-timeword counts.
+    putFibers(out, art.b);
+    // Format v5: per input the packed spike fibers (the one spike
+    // view of both datapaths), then per input the dense counts.
+    out.u64(art.packed.size());
     for (const auto& packed : art.packed)
-        putSpikeFibers(out, packed);
+        putFibers(out, packed);
     for (const auto& counts : art.dense_nnz)
         out.vec(counts);
 }
@@ -174,21 +140,11 @@ getSparten(Reader& in)
 {
     auto art = std::make_shared<SpartenCompiled>();
     std::uint64_t batch = 0;
-    if (!getWeightFibers(in, art->b) || !in.u64(batch) || batch == 0)
+    if (!getFibers(in, art->b) || !in.u64(batch) || batch == 0)
         return nullptr;
-    art->row_masks.resize(static_cast<std::size_t>(batch));
-    for (auto& masks : art->row_masks) {
-        std::uint64_t count = 0;
-        if (!in.u64(count))
-            return nullptr;
-        masks.resize(static_cast<std::size_t>(count));
-        for (auto& mask : masks)
-            if (!getBitmask(in, mask))
-                return nullptr;
-    }
     art->packed.resize(static_cast<std::size_t>(batch));
     for (auto& packed : art->packed)
-        if (!getSpikeFibers(in, packed))
+        if (!getFibers(in, packed))
             return nullptr;
     art->dense_nnz.resize(static_cast<std::size_t>(batch));
     for (std::size_t b = 0; b < art->dense_nnz.size(); ++b) {
@@ -202,7 +158,7 @@ getSparten(Reader& in)
 void
 putGospa(Writer& out, const GospaCompiled& art)
 {
-    putWeightFibers(out, art.b);
+    putFibers(out, art.b);
     out.u64(art.col_spikes.size());
     for (std::size_t b = 0; b < art.col_spikes.size(); ++b) {
         out.vec(art.col_spikes[b]);
@@ -215,7 +171,7 @@ getGospa(Reader& in)
 {
     auto art = std::make_shared<GospaCompiled>();
     std::uint64_t batch = 0;
-    if (!getWeightFibers(in, art->b) || !in.u64(batch) || batch == 0)
+    if (!getFibers(in, art->b) || !in.u64(batch) || batch == 0)
         return nullptr;
     art->col_spikes.resize(static_cast<std::size_t>(batch));
     art->total_spikes.resize(static_cast<std::size_t>(batch));
@@ -228,7 +184,7 @@ getGospa(Reader& in)
 void
 putGamma(Writer& out, const GammaCompiled& art)
 {
-    putWeightFibers(out, art.b);
+    putFibers(out, art.b);
     out.f64(art.weight_density);
     out.u64(art.cols.size());
     for (std::size_t b = 0; b < art.cols.size(); ++b) {
@@ -243,7 +199,7 @@ getGamma(Reader& in)
 {
     auto art = std::make_shared<GammaCompiled>();
     std::uint64_t batch = 0;
-    if (!getWeightFibers(in, art->b) || !in.f64(art->weight_density) ||
+    if (!getFibers(in, art->b) || !in.f64(art->weight_density) ||
         !in.u64(batch) || batch == 0)
         return nullptr;
     art->total_spikes.resize(static_cast<std::size_t>(batch));
@@ -262,15 +218,15 @@ getGamma(Reader& in)
 void
 putSpartenAnn(Writer& out, const SpartenAnnCompiled& art)
 {
-    putWeightFibers(out, art.a);
-    putWeightFibers(out, art.b);
+    putFibers(out, art.a);
+    putFibers(out, art.b);
 }
 
 std::shared_ptr<const CompiledArtifact>
 getSpartenAnn(Reader& in)
 {
     auto art = std::make_shared<SpartenAnnCompiled>();
-    if (!getWeightFibers(in, art->a) || !getWeightFibers(in, art->b))
+    if (!getFibers(in, art->a) || !getFibers(in, art->b))
         return nullptr;
     return art;
 }
@@ -278,7 +234,7 @@ getSpartenAnn(Reader& in)
 void
 putGammaAnn(Writer& out, const GammaAnnCompiled& art)
 {
-    putWeightFibers(out, art.b);
+    putFibers(out, art.b);
     out.f64(art.weight_density);
     out.u64(art.nnz_acts);
     out.vec(art.cols);
@@ -289,7 +245,7 @@ std::shared_ptr<const CompiledArtifact>
 getGammaAnn(Reader& in)
 {
     auto art = std::make_shared<GammaAnnCompiled>();
-    if (!getWeightFibers(in, art->b) || !in.f64(art->weight_density) ||
+    if (!getFibers(in, art->b) || !in.f64(art->weight_density) ||
         !in.u64(art->nnz_acts) || !in.vec(art->cols) ||
         !in.vec(art->ptr))
         return nullptr;
@@ -434,15 +390,37 @@ deserializeCompiledLayer(Reader& in, CompiledLayer& out)
     return out.artifact != nullptr && in.ok() && in.remaining() == 0;
 }
 
+namespace {
+
+constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
+constexpr std::uint64_t kFnvPrime = 1099511628211ull;
+
+} // namespace
+
 std::uint64_t
 fnv1a(const char* data, std::size_t size, std::uint64_t seed)
 {
     std::uint64_t hash = seed;
     for (std::size_t i = 0; i < size; ++i) {
         hash ^= static_cast<unsigned char>(data[i]);
-        hash *= 1099511628211ull;
+        hash *= kFnvPrime;
     }
     return hash;
+}
+
+std::uint64_t
+fnv1aWords(const char* data, std::size_t size)
+{
+    std::uint64_t hash = kFnvOffset;
+    const std::size_t words = size / sizeof(std::uint64_t);
+    for (std::size_t i = 0; i < words; ++i) {
+        std::uint64_t word;
+        std::memcpy(&word, data + i * sizeof(word), sizeof(word));
+        hash ^= word;
+        hash *= kFnvPrime;
+    }
+    const std::size_t tail = words * sizeof(std::uint64_t);
+    return fnv1a(data + tail, size - tail, hash);
 }
 
 } // namespace artio

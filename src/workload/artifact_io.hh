@@ -53,7 +53,6 @@ class Writer
         raw(v.data(), v.size() * sizeof(T));
     }
 
-    const std::string& buffer() const { return buf_; }
     std::string take() { return std::move(buf_); }
 
   private:
@@ -151,9 +150,14 @@ bool serializeCompiledLayer(const CompiledLayer& layer, Writer& out);
  */
 bool deserializeCompiledLayer(Reader& in, CompiledLayer& out);
 
-/** FNV-1a 64-bit, the store's checksum and filename hash. */
+/** FNV-1a 64-bit over bytes, the store's filename hash. */
 std::uint64_t fnv1a(const char* data, std::size_t size,
                     std::uint64_t seed = 1469598103934665603ull);
+
+/** The payload checksum: FNV-1a over 64-bit words, then the tail
+ *  bytes. Each step is a bijection of the hash, so any single changed
+ *  word or byte always changes it, at one multiply per word. */
+std::uint64_t fnv1aWords(const char* data, std::size_t size);
 
 } // namespace artio
 } // namespace loas

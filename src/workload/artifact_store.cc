@@ -6,11 +6,12 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
+#include <memory>
 #include <system_error>
 #include <utility>
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "common/fault.hh"
@@ -76,50 +77,58 @@ ArtifactStore::LoadResult
 ArtifactStore::load(const std::string& key) const
 {
     LoadResult result;
-    std::ifstream file(path(key), std::ios::binary);
-    if (!file)
+    const int fd = ::open(path(key).c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0)
         return result; // plain miss: nothing stored yet
 
     const auto reject = [&result] {
         result.rejected = true;
         return result;
     };
-    // The file exists, so an injected read fault is an EIO mid-read:
-    // the same rejection (recompile-and-overwrite) path as a real one.
-    if (fault::shouldFail(fault::Site::DiskRead)) {
+    // One fstat-sized read into an uninitialized buffer, which the
+    // checks and the deserializer then work on in place. The file
+    // exists, so an injected read fault is an EIO mid-read: like a
+    // failed or short read, an I/O error that rejects the file.
+    struct stat st{};
+    std::size_t size = 0;
+    std::unique_ptr<char[]> blob;
+    bool read_ok = false;
+    if (!fault::shouldFail(fault::Site::DiskRead) &&
+        ::fstat(fd, &st) == 0) {
+        size = static_cast<std::size_t>(st.st_size);
+        blob.reset(new char[size]);
+        read_ok = ::read(fd, blob.get(), size) ==
+                  static_cast<ssize_t>(size);
+    }
+    ::close(fd);
+    if (!read_ok) {
         result.io_error = true;
         return reject();
     }
-
-    std::string blob((std::istreambuf_iterator<char>(file)),
-                     std::istreambuf_iterator<char>());
-    if (!file.good() && !file.eof()) {
-        result.io_error = true;
+    const char* const data = blob.get();
+    if (size < kHeaderBytes)
         return reject();
-    }
-    if (blob.size() < kHeaderBytes)
-        return reject();
-    if (std::memcmp(blob.data(), kMagic, sizeof(kMagic)) != 0)
+    if (std::memcmp(data, kMagic, sizeof(kMagic)) != 0)
         return reject();
 
     std::uint32_t version = 0;
     std::uint64_t checksum = 0, payload_size = 0;
     std::size_t pos = sizeof(kMagic);
-    std::memcpy(&version, blob.data() + pos, sizeof(version));
+    std::memcpy(&version, data + pos, sizeof(version));
     pos += sizeof(version);
-    std::memcpy(&checksum, blob.data() + pos, sizeof(checksum));
+    std::memcpy(&checksum, data + pos, sizeof(checksum));
     pos += sizeof(checksum);
-    std::memcpy(&payload_size, blob.data() + pos, sizeof(payload_size));
+    std::memcpy(&payload_size, data + pos, sizeof(payload_size));
     pos += sizeof(payload_size);
 
     if (version != kFormatVersion)
         return reject();
-    if (payload_size != blob.size() - kHeaderBytes)
+    if (payload_size != size - kHeaderBytes)
         return reject();
-    if (artio::fnv1a(blob.data() + pos, payload_size) != checksum)
+    if (artio::fnv1aWords(data + pos, payload_size) != checksum)
         return reject();
 
-    artio::Reader reader(blob.data() + pos,
+    artio::Reader reader(data + pos,
                          static_cast<std::size_t>(payload_size));
     std::string stored_key;
     if (!reader.str(stored_key) || stored_key != key)
@@ -149,7 +158,7 @@ ArtifactStore::store(const std::string& key,
     std::string blob(kMagic, sizeof(kMagic));
     const std::uint32_t version = kFormatVersion;
     const std::uint64_t checksum =
-        artio::fnv1a(body.data(), body.size());
+        artio::fnv1aWords(body.data(), body.size());
     const std::uint64_t payload_size = body.size();
     blob.append(reinterpret_cast<const char*>(&version),
                 sizeof(version));

@@ -8,7 +8,8 @@
  * File format (host-endian):
  *     8 B  magic   "LOASART\0"
  *     4 B  format version (kFormatVersion; bumped on any layout change)
- *     8 B  FNV-1a checksum of the payload
+ *     8 B  checksum of the payload: FNV-1a over 64-bit words, then
+ *          the trailing bytes (artio::fnv1aWords)
  *     8 B  payload size
  *     N B  payload: cache key string, then the serialized
  *          CompiledLayer (artifact_io.hh)
@@ -48,7 +49,7 @@ class ArtifactStore
      * semantically different artifact from being served to a newer
      * binary as if it were fresh.
      */
-    static constexpr std::uint32_t kFormatVersion = 4;
+    static constexpr std::uint32_t kFormatVersion = 5;
 
     /** Filename suffix of artifact files (everything else is ignored). */
     static constexpr const char* kFileSuffix = ".loasart";

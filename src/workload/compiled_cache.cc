@@ -20,24 +20,6 @@ compiledLayerKey(const std::string& network, std::size_t layer_index,
            "#b" + std::to_string(batch);
 }
 
-CompiledCache::Stats
-CompiledCache::Stats::delta(const Stats& now, const Stats& before)
-{
-    Stats out = now;
-    out.hits -= before.hits;
-    out.misses -= before.misses;
-    out.disk_hits -= before.disk_hits;
-    out.disk_writes -= before.disk_writes;
-    out.disk_rejects -= before.disk_rejects;
-    out.evictions -= before.evictions;
-    out.disk_trips -= before.disk_trips;
-    out.disk_tmp_swept -= before.disk_tmp_swept;
-    out.compile_ms -= before.compile_ms;
-    // entries / bytes / disk_degraded are gauges: the current state
-    // stands.
-    return out;
-}
-
 CompiledCache::~CompiledCache() = default;
 
 CompiledCache&
@@ -152,7 +134,8 @@ CompiledCache::recordDiskOutcomeLocked(bool ok, Stats* attributed)
 
 std::shared_ptr<const CompiledLayer>
 CompiledCache::getOrCompile(const std::string& key,
-                            const Compile& compile, Stats* attributed)
+                            const Compile& compile, Stats* attributed,
+                            const std::function<void()>& on_miss)
 {
     std::shared_ptr<Slot> slot;
     std::shared_ptr<const ArtifactStore> disk;
@@ -221,6 +204,8 @@ CompiledCache::getOrCompile(const std::string& key,
         }
     }
 
+    if (on_miss)
+        on_miss();
     using Clock = std::chrono::steady_clock;
     const auto start = Clock::now();
     slot->value = std::make_shared<const CompiledLayer>(compile());

@@ -96,7 +96,8 @@ class CompiledCache
         std::uint64_t disk_trips = 0;
         /** Stale writer temp files swept when attaching the disk. */
         std::uint64_t disk_tmp_swept = 0;
-        /** Wall time spent inside compile callbacks, summed. */
+        /** Time spent inside compile callbacks (prepare), summed
+         *  over the threads that ran them. */
         double compile_ms = 0.0;
 
         // Gauges: current in-memory occupancy.
@@ -105,14 +106,6 @@ class CompiledCache
         std::uint64_t bytes = 0;
         /** 1 while the breaker holds the disk level out of service. */
         std::uint64_t disk_degraded = 0;
-
-        /**
-         * Per-run view over a shared, long-lived cache: counters since
-         * `before`, gauges from `now`. With a fresh cache (before all
-         * zero) this is `now` itself, so private-cache reports are
-         * unchanged.
-         */
-        static Stats delta(const Stats& now, const Stats& before);
     };
 
     using Compile = std::function<CompiledLayer()>;
@@ -125,7 +118,8 @@ class CompiledCache
     /**
      * The process-lifetime instance shared by CLI/bench engine runs.
      * Configure it once (budget, disk dir) and pass it via
-     * SimRequest::compiled_cache; per-run reports are delta-based.
+     * SimRequest::compiled_cache; per-run reports are attributed
+     * (see getOrCompile).
      */
     static CompiledCache& process();
 
@@ -140,10 +134,14 @@ class CompiledCache
      * also added there, under the cache mutex — callers sharing one
      * `attributed` across their worker threads get an exact per-run
      * tally with no extra synchronization. Its gauges are left alone.
+     *
+     * `on_miss` runs right before `compile`, only when both levels
+     * missed, outside compile_ms (the SimEngine synthesizes there).
      */
     std::shared_ptr<const CompiledLayer>
     getOrCompile(const std::string& key, const Compile& compile,
-                 Stats* attributed = nullptr);
+                 Stats* attributed = nullptr,
+                 const std::function<void()>& on_miss = {});
 
     /**
      * In-memory byte budget; 0 = unlimited. When an insert pushes

@@ -13,13 +13,15 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "api/json.hh"
-#include "common/fault.hh"
 #include "api/registry.hh"
+#include "api/sim_engine.hh"
 #include "api/sweep.hh"
+#include "common/fault.hh"
 #include "api/sweep_io.hh"
 #include "workload/artifact_io.hh"
 #include "workload/artifact_store.hh"
@@ -212,6 +214,161 @@ TEST(ArtifactStore, TruncatedFileRejects)
     EXPECT_TRUE(result.rejected);
 }
 
+/** Header bytes before the payload: magic, version, checksum, size. */
+constexpr std::size_t kHeaderBytes = 8 + 4 + 8 + 8;
+
+/** The stored payload size of the file at `path`. */
+std::uint64_t
+storedPayloadSize(const std::string& path)
+{
+    std::ifstream file(path, std::ios::binary);
+    file.seekg(8 + 4 + 8);
+    std::uint64_t size = 0;
+    file.read(reinterpret_cast<char*>(&size), sizeof(size));
+    return size;
+}
+
+/** Flip one bit of the byte at `offset` of the file at `path`. */
+void
+flipBit(const std::string& path, std::size_t offset, int bit)
+{
+    std::fstream file(path,
+                      std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(file.good());
+    file.seekg(static_cast<std::streamoff>(offset));
+    const char flipped = static_cast<char>(file.get() ^ (1 << bit));
+    file.seekp(static_cast<std::streamoff>(offset));
+    file.put(flipped);
+}
+
+TEST(ArtifactChecksum, EverySingleBitFlipChangesTheWordWiseHash)
+{
+    // 8 words plus a 5-byte tail: every bit of every word and of the
+    // byte-wise tail is covered.
+    std::string data(69, '\0');
+    for (std::size_t i = 0; i < data.size(); ++i)
+        data[i] = static_cast<char>(i * 37 + 11);
+    const std::uint64_t clean =
+        artio::fnv1aWords(data.data(), data.size());
+    for (std::size_t i = 0; i < data.size(); ++i)
+        for (int bit = 0; bit < 8; ++bit) {
+            std::string flipped = data;
+            flipped[i] = static_cast<char>(flipped[i] ^ (1 << bit));
+            EXPECT_NE(artio::fnv1aWords(flipped.data(), flipped.size()),
+                      clean)
+                << "byte " << i << " bit " << bit;
+        }
+}
+
+TEST(ArtifactChecksum, RejectsOneFlippedBitAnywhereInThePayload)
+{
+    const std::string dir = tempCacheDir("bitflip");
+    const ArtifactStore store(dir);
+    const LayerData layer = generateLayer(oddLayer(), 61);
+    const auto compiler = AcceleratorRegistry::instance().make("sparten");
+    const CompiledLayer compiled = compiler->prepare(layer);
+
+    // Pad the key until the payload ends in a partial word, so the
+    // byte-wise tail of the checksum is on the line too.
+    std::string key;
+    for (std::string pad;; pad += 'x') {
+        key = compiledLayerKey("net" + pad, 0, false, "sparten-snn",
+                               layer.spec.t, 61);
+        ASSERT_TRUE(store.store(key, compiled));
+        if (storedPayloadSize(store.path(key)) % 8 != 0)
+            break;
+        fs::remove(store.path(key));
+    }
+    const std::string path = store.path(key);
+    const std::uint64_t payload = storedPayloadSize(path);
+    ASSERT_EQ(fs::file_size(path), kHeaderBytes + payload);
+
+    const std::size_t offsets[] = {
+        kHeaderBytes,                             // first payload byte
+        kHeaderBytes + payload / 2,               // mid-payload
+        kHeaderBytes + payload - payload % 8,     // first tail byte
+        kHeaderBytes + payload - 1};              // last tail byte
+    for (const std::size_t offset : offsets) {
+        for (const int bit : {0, 7}) {
+            SCOPED_TRACE("offset " + std::to_string(offset) + " bit " +
+                         std::to_string(bit));
+            flipBit(path, offset, bit);
+            const ArtifactStore::LoadResult corrupt = store.load(key);
+            EXPECT_EQ(corrupt.layer, nullptr);
+            EXPECT_TRUE(corrupt.rejected);
+            EXPECT_FALSE(corrupt.io_error);
+            flipBit(path, offset, bit); // restore
+            EXPECT_NE(store.load(key).layer, nullptr);
+        }
+    }
+}
+
+TEST(ArtifactStore, UnreadableFileIsAnIoErrorRejection)
+{
+    // A directory where the file should be opens but cannot be read:
+    // the sized read fails, which is an I/O error, not bad data.
+    const ArtifactStore store(tempCacheDir("unreadable"));
+    fs::create_directories(store.path("dir-key"));
+    const ArtifactStore::LoadResult result = store.load("dir-key");
+    EXPECT_EQ(result.layer, nullptr);
+    EXPECT_TRUE(result.rejected);
+    EXPECT_TRUE(result.io_error);
+}
+
+/** Run `request` after `damage` breaks its one stored artifact: the
+ *  file is rejected, recompiled and overwritten, and the next run
+ *  loads it cleanly again. */
+void
+expectRecompileAndOverwrite(const SimRequest& request,
+                            const std::function<void(const fs::path&)>&
+                                damage)
+{
+    const SimReport cold = SimEngine().run(request);
+    ASSERT_EQ(cold.compile_cache.disk_writes, 1u);
+    const fs::path file =
+        fs::directory_iterator(request.cache_dir)->path();
+    damage(file);
+
+    const SimReport healed = SimEngine().run(request);
+    EXPECT_EQ(healed.compile_cache.disk_rejects, 1u);
+    EXPECT_EQ(healed.compile_cache.misses, 1u);
+    EXPECT_EQ(healed.compile_cache.disk_writes, 1u);
+    EXPECT_EQ(json::toJson(healed), json::toJson(cold));
+
+    const SimReport warm = SimEngine().run(request);
+    EXPECT_EQ(warm.compile_cache.disk_hits, 1u);
+    EXPECT_EQ(warm.compile_cache.misses, 0u);
+    EXPECT_EQ(warm.synth_layers, 0u);
+}
+
+TEST(DiskCache, TruncatedFileIsRecompiledAndOverwritten)
+{
+    SimRequest request;
+    request.accels = {"sparten"};
+    request.networks = {NetworkSpec{"layer", {oddLayer()}}};
+    request.seed = 67;
+    request.cache_dir = tempCacheDir("truncate-heal");
+    expectRecompileAndOverwrite(request, [](const fs::path& file) {
+        fs::resize_file(file, fs::file_size(file) - 3);
+    });
+}
+
+TEST(DiskCache, VersionFourFileIsRecompiledAndOverwritten)
+{
+    SimRequest request;
+    request.accels = {"sparten"};
+    request.networks = {NetworkSpec{"layer", {oddLayer()}}};
+    request.seed = 71;
+    request.cache_dir = tempCacheDir("v4-heal");
+    expectRecompileAndOverwrite(request, [](const fs::path& file) {
+        std::fstream stream(file, std::ios::in | std::ios::out |
+                                      std::ios::binary);
+        const std::uint32_t v4 = 4;
+        stream.seekp(8);
+        stream.write(reinterpret_cast<const char*>(&v4), sizeof(v4));
+    });
+}
+
 TEST(DiskCache, ColdWarmMemoryAndWarmDiskRunsAreByteIdentical)
 {
     const std::string dir = tempCacheDir("golden");
@@ -352,6 +509,36 @@ TEST(FaultedStore, InjectedFaultsDegradeCleanlyOnEveryFamily)
         EXPECT_EQ(json::toJson(from_fresh), json::toJson(from_disk));
     }
     EXPECT_EQ(store.stats().files, designs.size());
+}
+
+TEST(FaultedStore, InjectedReadFailureFeedsTheBreaker)
+{
+    FaultGuard guard;
+    SimRequest request;
+    request.accels = {"sparten"};
+    request.networks = {NetworkSpec{"layer", {oddLayer()}}};
+    request.seed = 73;
+    request.threads = 1;
+    request.cache_dir = tempCacheDir("read-breaker");
+    const SimReport cold = SimEngine().run(request);
+    ASSERT_EQ(cold.compile_cache.disk_writes, 1u);
+
+    // The only disk failure is the injected read, so it alone trips a
+    // threshold-1 breaker; the recompile's successful store then
+    // closes it again, and the report is unchanged.
+    CompiledCache cache;
+    cache.setDiskBreaker(1, 1e6);
+    cache.setDiskDir(request.cache_dir);
+    request.compiled_cache = &cache;
+    fault::configure("disk.read=1");
+    const SimReport faulted = SimEngine().run(request);
+    EXPECT_EQ(fault::injectedCount(fault::Site::DiskRead), 1u);
+    EXPECT_EQ(faulted.compile_cache.disk_trips, 1u);
+    EXPECT_EQ(faulted.compile_cache.disk_hits, 0u);
+    EXPECT_EQ(faulted.compile_cache.misses, 1u);
+    EXPECT_EQ(faulted.compile_cache.disk_writes, 1u);
+    EXPECT_EQ(cache.stats().disk_degraded, 0u);
+    EXPECT_EQ(json::toJson(faulted), json::toJson(cold));
 }
 
 TEST(StaleTemps, AreCountedSweptByAgeAndClearedUnconditionally)

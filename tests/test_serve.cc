@@ -9,18 +9,25 @@
 
 #include <gtest/gtest.h>
 
+#include <poll.h>
+#include <pthread.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <ctime>
 #include <filesystem>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "api/accel_spec.hh"
 #include "api/json.hh"
@@ -121,10 +128,15 @@ TEST(Serve, WarmRepeatRequestCompilesNothing)
     ASSERT_EQ(cold.getString("state", ""), "done");
     EXPECT_GT(cold.get("stats")->get("cache")->getNumber("misses", 0),
               0.0);
+    EXPECT_EQ(cold.get("stats")->getNumber("synth_layers", -1), 1.0);
 
+    // A hot request synthesizes nothing: every artifact is cached.
     const JsonValue warm = client.callJson(submit);
     ASSERT_EQ(warm.getString("state", ""), "done");
-    const JsonValue* cache = warm.get("stats")->get("cache");
+    const JsonValue* stats = warm.get("stats");
+    EXPECT_EQ(stats->getNumber("synth_layers", -1), 0.0);
+    EXPECT_EQ(stats->getNumber("synth_ms", -1), 0.0);
+    const JsonValue* cache = stats->get("cache");
     EXPECT_EQ(cache->getNumber("misses", -1), 0.0);
     EXPECT_GT(cache->getNumber("hits", 0), 0.0);
 
@@ -273,6 +285,81 @@ TEST(Serve, FinishedConnectionsAreReapedNotAccumulated)
         std::this_thread::sleep_for(std::chrono::milliseconds(10));
     }
     EXPECT_LE(now, baseline + 6);
+}
+
+TEST(Serve, AcceptAtTheFdLimitBacksOffInsteadOfSpinning)
+{
+    Server::Config config;
+    config.socket_path = socketPath();
+    CompiledCache cache;
+    Server server(config, &cache);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::memcpy(addr.sun_path, server.socketPath().c_str(),
+                server.socketPath().size() + 1);
+    const int client = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    ASSERT_GE(client, 0);
+    rlimit saved{};
+    ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+    int highest = 0;
+    for (const auto& entry :
+         std::filesystem::directory_iterator("/proc/self/fd"))
+        highest = std::max(highest,
+                           std::stoi(entry.path().filename().string()));
+
+    // No ASSERT past this point: the thread must be joined and the fd
+    // limit restored whatever fails.
+    std::thread thread([&server] { server.run(); });
+
+    // Fill the fd table: lower the soft limit to just above the
+    // highest open fd, then dup() until EMFILE.
+    rlimit low = saved;
+    low.rlim_cur = static_cast<rlim_t>(highest) + 16;
+    std::vector<int> fillers;
+    if (::setrlimit(RLIMIT_NOFILE, &low) == 0) {
+        for (int fd; (fd = ::dup(client)) >= 0;)
+            fillers.push_back(fd);
+        EXPECT_EQ(errno, EMFILE);
+    } else {
+        ADD_FAILURE() << "cannot lower RLIMIT_NOFILE";
+    }
+
+    // One queued connect leaves the listen socket readable and accept
+    // failing with EMFILE.
+    EXPECT_EQ(::connect(client, reinterpret_cast<sockaddr*>(&addr),
+                        sizeof(addr)),
+              0);
+    clockid_t cpu_clock{};
+    EXPECT_EQ(::pthread_getcpuclockid(thread.native_handle(), &cpu_clock),
+              0);
+    const auto cpu_ms = [&] {
+        timespec ts{};
+        ::clock_gettime(cpu_clock, &ts);
+        return static_cast<double>(ts.tv_sec) * 1e3 +
+               static_cast<double>(ts.tv_nsec) / 1e6;
+    };
+    const double cpu_before = cpu_ms();
+    std::this_thread::sleep_for(std::chrono::seconds(1));
+    EXPECT_LT(cpu_ms() - cpu_before, 100.0); // < 10% of a core
+
+    // Freed fds: the queued client is accepted and served.
+    for (const int fd : fillers)
+        ::close(fd);
+    EXPECT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+    const std::string request = "{\"cmd\": \"version\"}\n";
+    EXPECT_EQ(::send(client, request.data(), request.size(),
+                     MSG_NOSIGNAL),
+              static_cast<ssize_t>(request.size()));
+    pollfd readable = {client, POLLIN, 0};
+    EXPECT_EQ(::poll(&readable, 1, 5000), 1);
+    ::close(client);
+
+    // requestStop() ends a back-off wait at once.
+    const auto t_stop = std::chrono::steady_clock::now();
+    server.requestStop(true);
+    thread.join();
+    EXPECT_LT(std::chrono::steady_clock::now() - t_stop,
+              std::chrono::seconds(1));
 }
 
 TEST(Serve, FullQueueRepliesWithBackpressureNotAHang)

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <filesystem>
 #include <stdexcept>
 
 #include "api/json.hh"
@@ -117,6 +119,115 @@ TEST(SimEngine, RejectsBadRequestsBeforeSimulating)
     request.networks.push_back(
         NetworkSpec{"net-a", {tables::vgg16L8()}});
     EXPECT_THROW(SimEngine().run(request), std::invalid_argument);
+}
+
+/** The Table II AlexNet under four plain-workload designs, optionally
+ *  with loas-ft on the FT workload. */
+SimRequest
+alexnetRequest(bool with_ft)
+{
+    SimRequest request;
+    request.accels = {"sparten", "gospa", "gamma", "loas"};
+    if (with_ft)
+        request.accels.push_back("loas-ft");
+    request.networks = {tables::alexnet()};
+    request.seed = 21;
+    request.threads = 2;
+    return request;
+}
+
+TEST(SimEngineSynthesis, ColdRunSynthesizesEachWorkloadOnce)
+{
+    const std::size_t layers = tables::alexnet().layers.size();
+    ASSERT_EQ(layers, 7u);
+
+    // Four format families share one plain synthesis...
+    const SimReport plain = SimEngine().run(alexnetRequest(false));
+    EXPECT_EQ(plain.synth_layers, layers);
+    EXPECT_GT(plain.synth_ms, 0.0);
+    EXPECT_EQ(plain.compile_cache.misses, 4 * layers);
+
+    // ...and loas-ft adds the FT variant, once.
+    const SimReport with_ft = SimEngine().run(alexnetRequest(true));
+    EXPECT_EQ(with_ft.synth_layers, 2 * layers);
+    EXPECT_EQ(with_ft.compile_cache.misses, 5 * layers);
+}
+
+/** All five Table II designs on AlexNet's two FC layers. */
+SimRequest
+twoLayerRequest()
+{
+    SimRequest request = alexnetRequest(true);
+    const NetworkSpec alexnet = tables::alexnet();
+    request.networks = {NetworkSpec{
+        "alexnet-fc", {alexnet.layers[5], alexnet.layers[6]}}};
+    return request;
+}
+
+TEST(SimEngineSynthesis, WarmRunsSynthesizeNothing)
+{
+    const SimRequest cold_request = twoLayerRequest();
+    const std::size_t layers = cold_request.networks[0].layers.size();
+    const std::string cold =
+        json::toJson(SimEngine().run(cold_request));
+
+    // Warm memory: a shared cache serves every layer.
+    CompiledCache shared;
+    SimRequest request = cold_request;
+    request.compiled_cache = &shared;
+    SimEngine().run(request);
+    const SimReport warm_memory = SimEngine().run(request);
+    EXPECT_EQ(warm_memory.synth_layers, 0u);
+    EXPECT_EQ(warm_memory.synth_ms, 0.0);
+    EXPECT_EQ(warm_memory.compile_cache.misses, 0u);
+    EXPECT_EQ(json::toJson(warm_memory), cold);
+
+    // Warm disk: a fresh private cache loads every layer from disk.
+    const std::filesystem::path dir =
+        std::filesystem::path(::testing::TempDir()) / "loas-synth-disk";
+    std::filesystem::remove_all(dir);
+    request = cold_request;
+    request.cache_dir = dir.string();
+    const SimReport cold_disk = SimEngine().run(request);
+    EXPECT_EQ(cold_disk.synth_layers, 2 * layers);
+    const SimReport warm_disk = SimEngine().run(request);
+    EXPECT_EQ(warm_disk.synth_layers, 0u);
+    EXPECT_EQ(warm_disk.synth_ms, 0.0);
+    EXPECT_EQ(warm_disk.compile_cache.disk_hits,
+              cold_disk.compile_cache.disk_writes);
+    EXPECT_EQ(json::toJson(warm_disk), cold);
+
+    // One artifact missing: its network is synthesized once, for the
+    // one compile, and every other layer still loads from disk.
+    std::filesystem::remove(
+        std::filesystem::directory_iterator(dir)->path());
+    const SimReport one_missing = SimEngine().run(request);
+    EXPECT_EQ(one_missing.synth_layers, layers);
+    EXPECT_EQ(one_missing.compile_cache.misses, 1u);
+    EXPECT_EQ(one_missing.compile_cache.disk_hits,
+              cold_disk.compile_cache.disk_writes - 1);
+    EXPECT_EQ(json::toJson(one_missing), cold);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(SimEngineSynthesis, CancellationStopsTheRun)
+{
+    // A token set before the run stops it before any synthesis or
+    // compile: the shared cache records no lookup at all.
+    CompiledCache shared;
+    std::atomic<bool> cancel{true};
+    SimRequest request = twoLayerRequest();
+    request.compiled_cache = &shared;
+    request.cancel = &cancel;
+    EXPECT_THROW(SimEngine().run(request), SimCancelled);
+    EXPECT_EQ(shared.stats().misses, 0u);
+    EXPECT_EQ(shared.stats().hits, 0u);
+
+    // Cleared, the same request runs to completion.
+    cancel = false;
+    const SimReport report = SimEngine().run(request);
+    EXPECT_EQ(report.runs.size(), 5u);
+    EXPECT_EQ(report.synth_layers, 2 * request.networks[0].layers.size());
 }
 
 TEST(SimEngineJson, ReportSerializesEveryRun)

@@ -50,7 +50,7 @@
  *   loas_cli serve --socket PATH [--workers N] [--max-depth N] ...
  *       Long-running simulation daemon: accepts concurrent requests
  *       as newline-delimited JSON over a unix socket (schema
- *       loas-serve/4, see src/serve/protocol.hh), runs them through
+ *       loas-serve/5, see src/serve/protocol.hh), runs them through
  *       an async job queue with dedup, coalescing, cancellation and
  *       backpressure, and shares one process-lifetime compiled cache
  *       across every request — a warm daemon serves repeat requests
@@ -427,14 +427,18 @@ writeOutput(const std::string& path, const std::string& content,
     return 0;
 }
 
-/** Honor --cache-stats: write the run's counters as JSON. */
+/** Honor --cache-stats: write the run's counters and the workload
+ *  synthesis it needed as JSON. */
 int
 writeCacheStats(const CacheFlags& flags,
-                const CompiledCache::Stats& stats)
+                const CompiledCache::Stats& stats,
+                std::uint64_t synth_layers, double synth_ms)
 {
     if (flags.stats_path.empty())
         return 0;
-    return writeOutput(flags.stats_path, json::toJson(stats) + "\n",
+    return writeOutput(flags.stats_path,
+                       json::toJson(stats, synth_layers, synth_ms) +
+                           "\n",
                        flags.stats_path == "-");
 }
 
@@ -610,7 +614,8 @@ runRun(int argc, char** argv)
     }
     std::printf("%s", table.str().c_str());
 
-    int rc = writeCacheStats(cache_flags, report.compile_cache);
+    int rc = writeCacheStats(cache_flags, report.compile_cache,
+                             report.synth_layers, report.synth_ms);
     if (!json_path.empty())
         rc |= writeOutput(json_path, json::toJson(report));
     return rc;
@@ -708,7 +713,8 @@ runSweep(int argc, char** argv)
                                    : report.cells.size() / n_designs);
     }
 
-    int rc = writeCacheStats(cache_flags, report.compile_cache);
+    int rc = writeCacheStats(cache_flags, report.compile_cache,
+                             report.synth_layers, report.synth_ms);
     if (!csv_path.empty())
         rc |= writeOutput(csv_path, toCsv(report), to_stdout);
     if (!json_path.empty())
@@ -1230,7 +1236,8 @@ runBench(int argc, char** argv)
     for (const auto& [name, value] : kernel_metrics)
         std::printf("%-32s %16.3f\n", name.c_str(), value);
 
-    int rc = writeCacheStats(cache_flags, report.compile_cache);
+    int rc = writeCacheStats(cache_flags, report.compile_cache,
+                             report.synth_layers, report.synth_ms);
     rc |= writeOutput(out_path, render(kBenchSchema, metrics));
     rc |= writeOutput(kernels_out_path,
                       render(kKernelsSchema, kernel_metrics));
@@ -1337,12 +1344,20 @@ runCache(int argc, char** argv)
     bool want_plain = false, want_ft = false;
     for (const auto& variant : variants)
         (variant.ft ? want_ft : want_plain) = true;
+    using Clock = std::chrono::steady_clock;
+    std::uint64_t synth_layers = 0;
+    double synth_ms = 0.0;
     for (const auto& net : networks) {
+        const auto t_synth = Clock::now();
         std::vector<LayerData> plain, ft;
         if (want_plain)
             plain = generateNetwork(net, seed);
         if (want_ft)
             ft = generateNetwork(net, seed, /*ft=*/true);
+        synth_layers += plain.size() + ft.size();
+        synth_ms += std::chrono::duration<double, std::milli>(
+                        Clock::now() - t_synth)
+                        .count();
         // Warm layers in parallel (--threads): prepare() is const and
         // builds only locals, so concurrent calls on one instance are
         // safe, and the cache's per-slot locking keeps each distinct
@@ -1374,7 +1389,7 @@ runCache(int argc, char** argv)
                 static_cast<unsigned long long>(stats.disk_hits),
                 static_cast<unsigned long long>(disk.files),
                 static_cast<double>(disk.bytes) / 1024.0);
-    return writeCacheStats(cache_flags, stats);
+    return writeCacheStats(cache_flags, stats, synth_layers, synth_ms);
 }
 
 /** `loas_cli version`: one JSON object, every version in one place. */
@@ -1601,10 +1616,11 @@ runRequest(int argc, char** argv)
         std::fprintf(
             stderr,
             "job %llu done: queue %.1f ms, run %.1f ms "
-            "(compile %.1f ms, sim %.1f ms), cache %g hits / "
-            "%g misses%s%s\n",
+            "(synth %.1f ms, compile %.1f ms, sim %.1f ms), cache %g "
+            "hits / %g misses%s%s\n",
             static_cast<unsigned long long>(id),
             stats->getNumber("queue_ms", 0), stats->getNumber("run_ms", 0),
+            stats->getNumber("synth_ms", 0),
             stats->getNumber("compile_ms", 0),
             stats->getNumber("sim_ms", 0),
             cache != nullptr ? cache->getNumber("hits", 0) : 0.0,
