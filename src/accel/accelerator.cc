@@ -49,60 +49,37 @@ RunResult
 Accelerator::runNetwork(const std::vector<LayerData>& layers,
                         const std::string& workload_name)
 {
-    RunResult total;
-    total.accel = name();
-    total.workload = workload_name;
+    std::vector<std::shared_ptr<const LayerResults>> results;
+    results.reserve(layers.size());
     for (const auto& layer : layers)
-        total += runLayer(layer);
-    return total;
+        results.push_back(
+            std::make_shared<const LayerResults>(1, runLayer(layer)));
+    return reduceNetwork(results, workload_name);
 }
 
 RunResult
-Accelerator::runNetwork(
-    const std::vector<std::shared_ptr<const CompiledLayer>>& layers,
-    const std::string& workload_name)
-{
-    RunResult total;
-    total.accel = name();
-    total.workload = workload_name;
-    for (const auto& compiled : layers)
-        total += execute(*compiled);
-    return total;
-}
-
-RunResult
-Accelerator::runNetworkBatch(
-    const std::vector<std::shared_ptr<const CompiledLayer>>& layers,
-    const std::string& workload_name, int threads,
-    std::vector<RunResult>* per_input)
+Accelerator::reduceNetwork(
+    const std::vector<std::shared_ptr<const LayerResults>>& layers,
+    const std::string& workload_name,
+    std::vector<RunResult>* per_input) const
 {
     RunResult total;
     total.accel = name();
     total.workload = workload_name;
     if (per_input != nullptr)
-        per_input->clear();
-
-    std::vector<RunResult> layer_inputs;
-    for (const auto& compiled : layers) {
-        total += executeBatch(*compiled, threads,
-                              per_input != nullptr ? &layer_inputs
-                                                   : nullptr);
-        if (per_input == nullptr)
-            continue;
-        if (per_input->empty()) {
-            per_input->resize(layer_inputs.size());
-            for (auto& r : *per_input) {
-                r.accel = name();
-                r.workload = workload_name;
-            }
-        }
-        if (per_input->size() != layer_inputs.size())
+        per_input->assign(layers.empty() ? 0 : layers.front()->size(),
+                          total);
+    for (const auto& inputs : layers) {
+        if (per_input != nullptr && per_input->size() != inputs->size())
             fatal("network '%s': layer batch sizes disagree "
                   "(%zu vs %zu)",
                   workload_name.c_str(), per_input->size(),
-                  layer_inputs.size());
-        for (std::size_t b = 0; b < layer_inputs.size(); ++b)
-            (*per_input)[b] += layer_inputs[b];
+                  inputs->size());
+        for (std::size_t b = 0; b < inputs->size(); ++b) {
+            total += (*inputs)[b];
+            if (per_input != nullptr)
+                (*per_input)[b] += (*inputs)[b];
+        }
     }
     return total;
 }

@@ -100,22 +100,17 @@ class Accelerator
     RunResult runNetwork(const std::vector<LayerData>& layers,
                          const std::string& workload_name);
 
-    /** Simulate a network from pre-compiled (possibly shared) layers. */
-    RunResult
-    runNetwork(const std::vector<std::shared_ptr<const CompiledLayer>>&
-                   layers,
-               const std::string& workload_name);
-
     /**
-     * Simulate a network over every input of its batch. Layer results
-     * are summed per input; `per_input` (optional) receives the B
-     * per-input network totals and the returned aggregate sums them in
-     * input order.
+     * The one network reduction: sums every layer's per-input results
+     * layer by layer, each layer in input order, into the network
+     * aggregate. `per_input` (optional) receives the per-input
+     * network totals. The layers may come from fresh executes or from
+     * the CompiledCache's result records — the sum is the same.
      */
-    RunResult runNetworkBatch(
-        const std::vector<std::shared_ptr<const CompiledLayer>>& layers,
-        const std::string& workload_name, int threads,
-        std::vector<RunResult>* per_input = nullptr);
+    RunResult reduceNetwork(
+        const std::vector<std::shared_ptr<const LayerResults>>& layers,
+        const std::string& workload_name,
+        std::vector<RunResult>* per_input = nullptr) const;
 
   private:
     /** Reused per-input result slots of executeBatch (steady-state

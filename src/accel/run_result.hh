@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "accel/op_counts.hh"
 #include "common/logging.hh"
@@ -91,5 +92,9 @@ struct RunResult
         return *this;
     }
 };
+
+/** Per-input results of one layer, in input order (one entry at batch
+ *  1) — what one execute of a compiled layer yields. */
+using LayerResults = std::vector<RunResult>;
 
 } // namespace loas

@@ -170,24 +170,42 @@ SimEngine::run(const SimRequest& request) const
 
         const auto instance = registry.make(accel.spec);
         const std::string family = instance->formatFamily();
+        const std::string design = accel.spec.str(); // keys its records
         const std::vector<LayerData>* layers = nullptr;
+        const std::size_t n_layers = net.layers.size();
+        std::vector<std::string> keys;
         std::vector<std::shared_ptr<const CompiledLayer>> compiled;
-        compiled.reserve(net.layers.size());
-        for (std::size_t l = 0; l < net.layers.size(); ++l)
+        keys.reserve(n_layers);
+        compiled.reserve(n_layers);
+        for (std::size_t l = 0; l < n_layers; ++l) {
+            keys.push_back(compiledLayerKey(net.name, l, accel.ft_workload,
+                                            family, net.layers[l].t,
+                                            request.seed, request.batch));
             compiled.push_back(cache->getOrCompile(
-                compiledLayerKey(net.name, l, accel.ft_workload,
-                                 family, net.layers[l].t,
-                                 request.seed, request.batch),
+                keys[l],
                 [&] { return instance->prepare((*layers)[l]); },
                 &attributed,
                 [&] { layers = synthesize(n, accel.ft_workload); }));
+        }
 
+        // Each layer's results come from its artifact slot's record
+        // for this design, or from an execute that stores one.
         const auto t_exec = Clock::now();
-        if (request.batch > 1)
-            run.result = instance->runNetworkBatch(
-                compiled, net.name, batch_threads, &run.per_input);
-        else
-            run.result = instance->runNetwork(compiled, net.name);
+        std::vector<std::shared_ptr<const LayerResults>> results;
+        results.reserve(n_layers);
+        for (std::size_t l = 0; l < n_layers; ++l) {
+            const auto execute = [&] {
+                LayerResults inputs;
+                instance->executeBatch(*compiled[l], batch_threads,
+                                       &inputs);
+                return inputs;
+            };
+            results.push_back(
+                cache->getOrExecute(keys[l], design, execute, &attributed));
+        }
+        std::vector<RunResult>* per_input =
+            request.batch > 1 ? &run.per_input : nullptr;
+        run.result = instance->reduceNetwork(results, net.name, per_input);
         sim_ns += elapsed_ns(t_exec);
     });
 

@@ -17,6 +17,13 @@
  * every format family. A run whose lookups all hit synthesizes
  * nothing.
  *
+ * Layer results are memoized beside their artifacts: after each
+ * layer's lookup the engine takes the artifact slot's result record
+ * for its design (CompiledCache::getOrExecute), or executes the layer
+ * and stores one, then reduces the layers with
+ * Accelerator::reduceNetwork. A repeated request on a shared cache
+ * executes nothing and reports the same bytes.
+ *
  * Results are deterministic: each cell is simulated on a private
  * accelerator instance from seeded inputs and written to its fixed
  * slot, so a run with N worker threads is bit-identical to the serial
@@ -131,14 +138,16 @@ struct SimReport
      * this run's own lookups, attributed exactly at the cache mutex
      * (thread-count invariant, and exact even when several engine
      * runs share one cache concurrently — each run tallies only the
-     * hits/misses/disk traffic its own getOrCompile calls caused);
+     * hits/misses/disk traffic its own getOrCompile calls and the
+     * result_hits its getOrExecute calls caused);
      * entries/bytes are the shared cache's occupancy after the run.
      * compile_ms is prepare time and varies run to run.
      */
     CompiledCache::Stats compile_cache;
 
-    /** Time spent compiling (prepare) and executing layers, each
-     *  summed over workers: CPU sums, not wall time. */
+    /** Time spent compiling (prepare), and obtaining layer results —
+     *  executes plus result-record lookups —, each summed over
+     *  workers: CPU sums, not wall time. */
     double prepare_ms = 0.0;
     double sim_ms = 0.0;
 

@@ -40,8 +40,9 @@ inline constexpr char kListSchema[] = "loas-list/2";
  *  the structured "error" field on failed-job replies and the disk
  *  circuit-breaker fields in cache stats, /4 the resolved SIMD ISA
  *  and worker-pool fields in the version and stats replies, /5 the
- *  synth_ms and synth_layers per-request stats. */
-inline constexpr char kServeSchema[] = "loas-serve/5";
+ *  synth_ms and synth_layers per-request stats, /6 the result_hits
+ *  cache counter. */
+inline constexpr char kServeSchema[] = "loas-serve/6";
 
 /** loas_cli version self-description object; /2 added the resolved
  *  SIMD ISA. */

@@ -139,6 +139,7 @@ cacheStatsJson(const CompiledCache::Stats& stats)
     out += ", \"disk_hits\": " + json::num(stats.disk_hits);
     out += ", \"disk_writes\": " + json::num(stats.disk_writes);
     out += ", \"disk_rejects\": " + json::num(stats.disk_rejects);
+    out += ", \"result_hits\": " + json::num(stats.result_hits);
     out += ", \"evictions\": " + json::num(stats.evictions);
     out += ", \"disk_trips\": " + json::num(stats.disk_trips);
     out += ", \"disk_tmp_swept\": " + json::num(stats.disk_tmp_swept);

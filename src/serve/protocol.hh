@@ -1,7 +1,7 @@
 /**
  * @file
  * Wire protocol of the `loas_cli serve` daemon: newline-delimited JSON
- * over a local stream socket, schema `loas-serve/5`. Every request is
+ * over a local stream socket, schema `loas-serve/6`. Every request is
  * one JSON object on one line, every reply one JSON object on one
  * line; a connection may issue any number of requests sequentially.
  * (serve/2 added the optional "batch" submit field and the
@@ -11,7 +11,9 @@
  * disk_trips, disk_tmp_swept, disk_degraded — in cache stats.
  * serve/4 added the resolved SIMD "isa" and the "workers" pool-sizing
  * object to the version and stats replies. serve/5 added "synth_ms"
- * and "synth_layers" to per-request stats. All are additive; older
+ * and "synth_layers" to per-request stats. serve/6 added the
+ * "result_hits" counter — layers replayed from a result record
+ * instead of executed — to cache stats. All are additive; older
  * clients keep working unchanged.)
  *
  * Requests ("cmd" selects one):
@@ -54,7 +56,7 @@
  * compile_ms — prepare time —, sim_ms, synth_ms and synth_layers —
  * the workload synthesis the run needed, 0 when every artifact was
  * cached —, inferences_per_s — batch x runs / run wall time — and the
- * exact attributed cache counters).
+ * exact attributed cache counters, result_hits included).
  */
 
 #pragma once

@@ -46,9 +46,9 @@ CompiledCache::eraseAccountedLocked(Slot& slot)
 {
     assert(slot.accounted);
     assert(stats_.entries > 0);
-    assert(stats_.bytes >= slot.value->bytes);
+    assert(stats_.bytes >= slot.value->bytes + slot.record_bytes);
     --stats_.entries;
-    stats_.bytes -= slot.value->bytes;
+    stats_.bytes -= slot.value->bytes + slot.record_bytes;
     (slot.finished ? finished_lru_ : live_lru_).erase(slot.lru_it);
     slot.accounted = false;
 }
@@ -258,6 +258,63 @@ CompiledCache::getOrCompile(const std::string& key,
     return slot->value;
 }
 
+std::shared_ptr<const LayerResults>
+CompiledCache::getOrExecute(const std::string& key, const std::string& spec,
+                            const Execute& execute, Stats* attributed)
+{
+    std::shared_ptr<Slot> slot;
+    std::shared_ptr<Record> record;
+    {
+        const std::lock_guard<std::mutex> lock(mutex_);
+        const auto it = slots_.find(key);
+        if (it != slots_.end() && it->second->accounted) {
+            slot = it->second;
+            auto& entry = slot->records[spec];
+            if (!entry)
+                entry = std::make_shared<Record>();
+            record = entry;
+        }
+    }
+    if (!record)
+        return std::make_shared<const LayerResults>(execute());
+
+    // Like the slot mutex for a compile: the first caller executes
+    // while concurrent callers for the same (key, spec) block here,
+    // wake to a filled record, and count a result hit.
+    const std::lock_guard<std::mutex> record_lock(record->mutex);
+    if (record->results) {
+        const std::lock_guard<std::mutex> lock(mutex_);
+        ++stats_.result_hits;
+        if (attributed)
+            ++attributed->result_hits;
+        return record->results;
+    }
+    record->results = std::make_shared<const LayerResults>(execute());
+
+    // The slot may have been evicted or cleared while the layer
+    // executed; only a record of a slot still in the table joins the
+    // byte accounting.
+    const std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = slots_.find(key);
+    if (it != slots_.end() && it->second == slot) {
+        const std::uint64_t bytes =
+            recordBytes(spec, record->results->size());
+        slot->record_bytes += bytes;
+        stats_.bytes += bytes;
+        const std::uint64_t evicted_before = stats_.evictions;
+        enforceBudgetLocked(key);
+        if (attributed)
+            attributed->evictions += stats_.evictions - evicted_before;
+    }
+    return record->results;
+}
+
+std::uint64_t
+CompiledCache::recordBytes(const std::string& spec, std::size_t inputs)
+{
+    return sizeof(Record) + spec.size() + inputs * sizeof(RunResult);
+}
+
 void
 CompiledCache::setByteBudget(std::uint64_t budget)
 {
@@ -303,19 +360,18 @@ CompiledCache::finishNetwork(const std::string& network)
 {
     const std::string prefix = network + "#";
     const std::lock_guard<std::mutex> lock(mutex_);
-    // Walk MRU to LRU, moving matches so the finished list keeps the
-    // same relative recency order (its back is the oldest, evicted
-    // first).
+    // Walk MRU to LRU, splicing matches in front of the previously
+    // finished entries: the batch keeps its recency order and the
+    // list's back stays the oldest finished entry, evicted first.
+    // splice() moves list nodes, so every slot's lru_it stays valid.
+    const auto older = finished_lru_.begin();
     for (auto it = live_lru_.begin(); it != live_lru_.end();) {
-        if (it->compare(0, prefix.size(), prefix) != 0) {
-            ++it;
-            continue;
+        const auto next = std::next(it);
+        if (it->compare(0, prefix.size(), prefix) == 0) {
+            slots_.at(*it)->finished = true;
+            finished_lru_.splice(older, live_lru_, it);
         }
-        Slot& slot = *slots_.at(*it);
-        finished_lru_.push_back(*it);
-        slot.lru_it = std::prev(finished_lru_.end());
-        slot.finished = true;
-        it = live_lru_.erase(it);
+        it = next;
     }
 }
 

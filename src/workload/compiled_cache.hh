@@ -23,6 +23,16 @@
  * cooldown — the degradation ladder is disk, then memory-only, then
  * recompile, never an error surfaced to the caller.
  *
+ * Result records: the slot of each resident artifact also memoizes the
+ * layer's execution results (getOrExecute()), one record per design
+ * that executed it, keyed by the design's canonical spec string
+ * (AccelSpec::str()) and holding the per-input RunResults. A result is
+ * a pure function of (artifact key, design spec, input), so a repeated
+ * request replays its layers instead of executing them. Records live
+ * and die with their slot — eviction, clear(), finished-network
+ * demotion and a failed insert all take them along — and never reach
+ * the disk level.
+ *
  * Keys name the workload-side identity of an artifact:
  * (network, layer index, ft-variant, format family, timesteps,
  * workload seed, batch size). Hardware options are deliberately
@@ -35,10 +45,13 @@
  * Thread safety: every member is callable from any number of worker
  * threads. Exactly one caller compiles a given key (per-slot mutex);
  * the rest block on that slot and then share the artifact, so hit/miss
- * accounting is thread-count invariant. All byte accounting funnels
- * through one insert/erase pair, so `bytes` always equals the sum of
- * the currently-resident artifacts' footprints, across hits, misses,
- * disk loads, evictions and clear().
+ * accounting is thread-count invariant; result records are filled
+ * once-only the same way (per-record mutex), so result_hits is too.
+ * All byte accounting funnels through one insert/erase pair plus the
+ * record fill, so `bytes` always equals the sum of the
+ * currently-resident artifacts' footprints and their records'
+ * (recordBytes()), across hits, misses, disk loads, evictions and
+ * clear().
  *
  * Accounting comes in two views. stats() is the cache-wide total,
  * snapshotted consistently under the cache mutex. For per-request
@@ -62,6 +75,7 @@
 #include <unordered_map>
 
 #include "accel/compiled_layer.hh"
+#include "accel/run_result.hh"
 
 namespace loas {
 
@@ -90,6 +104,8 @@ class CompiledCache
         std::uint64_t disk_writes = 0;
         /** Corrupt / stale / mismatched disk files rejected. */
         std::uint64_t disk_rejects = 0;
+        /** Layer results served from a result record, not executed. */
+        std::uint64_t result_hits = 0;
         /** Entries evicted to honor the byte budget. */
         std::uint64_t evictions = 0;
         /** Times the disk circuit breaker tripped to memory-only. */
@@ -102,13 +118,15 @@ class CompiledCache
 
         // Gauges: current in-memory occupancy.
         std::uint64_t entries = 0;
-        /** Sum of the resident artifacts' footprint estimates. */
+        /** Sum of the resident artifacts' footprint estimates plus
+         *  their result records' (recordBytes()). */
         std::uint64_t bytes = 0;
         /** 1 while the breaker holds the disk level out of service. */
         std::uint64_t disk_degraded = 0;
     };
 
     using Compile = std::function<CompiledLayer()>;
+    using Execute = std::function<LayerResults()>;
 
     CompiledCache() = default;
     ~CompiledCache();
@@ -144,6 +162,29 @@ class CompiledCache
                  const std::function<void()>& on_miss = {});
 
     /**
+     * The results of executing `key`'s artifact on the design whose
+     * canonical spec string is `spec`: the result record in that
+     * artifact's slot (a result hit), else execute()'s output, which
+     * becomes the slot's record for `spec` while the slot stays
+     * resident. A key with no resident artifact — never looked up,
+     * evicted, or refused by a failed insert — just executes and keeps
+     * nothing. Concurrent requests for one (key, spec) block until the
+     * one execute finishes and then share its record.
+     *
+     * Call it right after getOrCompile(key, ...): it touches no
+     * artifact counter and no LRU position. `attributed` works as in
+     * getOrCompile (result_hits, plus evictions the record caused).
+     */
+    std::shared_ptr<const LayerResults>
+    getOrExecute(const std::string& key, const std::string& spec,
+                 const Execute& execute, Stats* attributed = nullptr);
+
+    /** Bytes a result record of `inputs` results for `spec` adds to
+     *  Stats::bytes and the byte budget. */
+    static std::uint64_t recordBytes(const std::string& spec,
+                                     std::size_t inputs);
+
+    /**
      * In-memory byte budget; 0 = unlimited. When an insert pushes
      * `bytes` past the budget, least-recently-used entries are evicted
      * — finished-network entries first — until the budget holds again
@@ -174,8 +215,9 @@ class CompiledCache
     /**
      * Demote every resident entry of `network` to evict-first status.
      * Engines call this when a run retires a network; the entries stay
-     * served until the byte budget actually needs their space. A later
-     * hit promotes an entry back to the live pool.
+     * served until the byte budget actually needs their space, and the
+     * network finished longest ago goes first. A later hit promotes an
+     * entry back to the live pool.
      */
     void finishNetwork(const std::string& network);
 
@@ -185,6 +227,14 @@ class CompiledCache
     void clear();
 
   private:
+    /** One design's results on a slot's artifact; its mutex
+     *  serializes the execute that fills it. */
+    struct Record
+    {
+        std::mutex mutex;
+        std::shared_ptr<const LayerResults> results;
+    };
+
     /** One key's compilation slot; its mutex serializes the compile. */
     struct Slot
     {
@@ -195,6 +245,10 @@ class CompiledCache
         bool accounted = false;
         bool finished = false;
         std::list<std::string>::iterator lru_it;
+        /** Result records by canonical design spec. */
+        std::unordered_map<std::string, std::shared_ptr<Record>> records;
+        /** Sum of recordBytes() over the filled records. */
+        std::uint64_t record_bytes = 0;
     };
 
     /** Register a filled slot in stats/LRU. Caller holds mutex_. */
@@ -221,7 +275,8 @@ class CompiledCache
     std::unordered_map<std::string, std::shared_ptr<Slot>> slots_;
     /** Resident keys, most-recently-used first. */
     std::list<std::string> live_lru_;
-    /** Finished-network keys, evicted before anything in live_lru_. */
+    /** Finished-network keys, most recently finished first; evicted
+     *  from the back, before anything in live_lru_. */
     std::list<std::string> finished_lru_;
     std::uint64_t budget_ = 0;
     std::shared_ptr<const ArtifactStore> disk_;

@@ -171,6 +171,34 @@ TEST(Batch, AggregateSumsPerInputCycles)
     EXPECT_NE(json::toJson(report).find("\"inputs\""), std::string::npos);
 }
 
+TEST(Batch, RepeatedRunReplaysPerInputResults)
+{
+    SimRequest request;
+    request.accels = {"loas", "sparten"};
+    request.networks = {
+        {"two-layers", {tables::alexnetL4(), tables::vgg16L8()}}};
+    request.batch = 3;
+    request.seed = 13;
+    request.threads = 2;
+    const SimReport cold = SimEngine().run(request);
+
+    CompiledCache shared;
+    request.compiled_cache = &shared;
+    SimEngine().run(request);
+    const SimReport repeat = SimEngine().run(request);
+    EXPECT_EQ(repeat.compile_cache.result_hits, 2u * 2u);
+    ASSERT_EQ(repeat.runs.size(), cold.runs.size());
+    for (std::size_t i = 0; i < cold.runs.size(); ++i) {
+        SCOPED_TRACE(cold.runs[i].accel_spec);
+        expectSameResult(repeat.runs[i].result, cold.runs[i].result);
+        ASSERT_EQ(repeat.runs[i].per_input.size(), 3u);
+        for (std::size_t b = 0; b < 3; ++b)
+            expectSameResult(repeat.runs[i].per_input[b],
+                             cold.runs[i].per_input[b]);
+    }
+    EXPECT_EQ(json::toJson(repeat), json::toJson(cold));
+}
+
 // --- 4. Serve protocol round-trip ------------------------------------
 
 TEST(Batch, ProtocolDefaultsToBatchOne)

@@ -3,8 +3,9 @@
  * Tests for the two-phase prepare/execute pipeline and the shared
  * compiled-workload cache: hit/miss accounting, once-only concurrent
  * compilation, cross-variant (non-)sharing rules, the 9-cell sweep
- * acceptance criterion, and thread-count-invariant sweep output with
- * the cache in the loop.
+ * acceptance criterion, thread-count-invariant sweep output with
+ * the cache in the loop, and the result records memoized in artifact
+ * slots.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include "api/sweep.hh"
 #include "api/sweep_io.hh"
 #include "baselines/sparten.hh"
+#include "common/fault.hh"
 #include "core/loas_sim.hh"
 #include "workload/compiled_cache.hh"
 #include "workload/generator.hh"
@@ -174,6 +176,32 @@ TEST(CompiledCacheEviction, FinishedNetworkEntriesGoFirst)
     EXPECT_EQ(compiles, 1); // the finished network was the victim
 }
 
+TEST(CompiledCacheEviction, OldestFinishedNetworkGoesFirst)
+{
+    // Two networks finished in turn: the squeeze evicts the one
+    // finished longest ago, not the one that just finished.
+    CompiledCache cache;
+    cache.setByteBudget(150);
+    cache.getOrCompile("netA#l0", [] { return stubLayer(60); });
+    cache.finishNetwork("netA");
+    cache.getOrCompile("netB#l0", [] { return stubLayer(60); });
+    cache.finishNetwork("netB");
+    cache.getOrCompile("netC#l0", [] { return stubLayer(60); });
+
+    EXPECT_EQ(cache.stats().evictions, 1u);
+    int compiles = 0;
+    const auto count = [&] {
+        ++compiles;
+        return stubLayer(60);
+    };
+    cache.setByteBudget(0);
+    cache.getOrCompile("netB#l0", count);
+    cache.getOrCompile("netC#l0", count);
+    EXPECT_EQ(compiles, 0); // netB and netC still resident
+    cache.getOrCompile("netA#l0", count);
+    EXPECT_EQ(compiles, 1); // netA, finished first, was the victim
+}
+
 TEST(CompiledCacheEviction, HitPromotesFinishedEntryBackToLive)
 {
     CompiledCache cache;
@@ -237,6 +265,149 @@ TEST(CompiledCacheEviction, ClearThenReuseKeepsByteAccountingExact)
     cache.getOrCompile("c", [] { return stubLayer(40); });
     EXPECT_EQ(cache.stats().bytes, 40u);
     cache.clear();
+    EXPECT_EQ(cache.stats().bytes, 0u);
+}
+
+/** `inputs` stub results whose cycle counts start at `cycles`. */
+LayerResults
+stubResults(std::size_t inputs, std::uint64_t cycles)
+{
+    LayerResults results(inputs);
+    for (auto& result : results)
+        result.total_cycles = cycles++;
+    return results;
+}
+
+TEST(CompiledCacheRecords, OneRecordPerDesignInTheArtifactSlot)
+{
+    CompiledCache cache;
+    cache.getOrCompile("a", [] { return stubLayer(100); });
+    int executes = 0;
+    const auto execute = [&] {
+        ++executes;
+        return stubResults(2, 7);
+    };
+    const auto first = cache.getOrExecute("a", "loas", execute);
+    const auto again = cache.getOrExecute("a", "loas", execute);
+    const auto other = cache.getOrExecute("a", "loas?pes=16", execute);
+    EXPECT_EQ(executes, 2); // one execute per design, then replayed
+    EXPECT_EQ(first.get(), again.get());
+    EXPECT_NE(first.get(), other.get());
+    ASSERT_EQ(first->size(), 2u);
+    EXPECT_EQ((*first)[1].total_cycles, 8u);
+
+    // Records touch no artifact counter; their bytes join the slot's.
+    const CompiledCache::Stats stats = cache.stats();
+    EXPECT_EQ(stats.result_hits, 1u);
+    EXPECT_EQ(stats.hits, 0u);
+    EXPECT_EQ(stats.misses, 1u);
+    EXPECT_EQ(stats.entries, 1u);
+    const std::uint64_t records =
+        CompiledCache::recordBytes("loas", 2) +
+        CompiledCache::recordBytes("loas?pes=16", 2);
+    EXPECT_EQ(stats.bytes, 100u + records);
+}
+
+TEST(CompiledCacheRecords, NoResidentArtifactExecutesAndKeepsNothing)
+{
+    CompiledCache cache;
+    int executes = 0;
+    const auto execute = [&] {
+        ++executes;
+        return stubResults(1, 3);
+    };
+    cache.getOrExecute("never-compiled", "loas", execute);
+    cache.getOrExecute("never-compiled", "loas", execute);
+    EXPECT_EQ(executes, 2);
+    EXPECT_EQ(cache.stats().result_hits, 0u);
+    EXPECT_EQ(cache.stats().bytes, 0u);
+}
+
+TEST(CompiledCacheRecords, ConcurrentRequestsExecuteExactlyOnce)
+{
+    CompiledCache cache;
+    cache.getOrCompile("key", [] { return stubLayer(16); });
+    std::atomic<int> executes{0};
+    const auto execute = [&] {
+        ++executes;
+        return stubResults(1, 5);
+    };
+    constexpr int kThreads = 8;
+
+    std::vector<std::thread> pool;
+    std::vector<CompiledCache::Stats> attributed(kThreads);
+    pool.reserve(kThreads);
+    for (int i = 0; i < kThreads; ++i)
+        pool.emplace_back([&, i] {
+            cache.getOrExecute("key", "loas", execute, &attributed[i]);
+        });
+    for (auto& t : pool)
+        t.join();
+
+    EXPECT_EQ(executes.load(), 1);
+    std::uint64_t summed = 0;
+    for (const auto& stats : attributed)
+        summed += stats.result_hits;
+    EXPECT_EQ(summed, static_cast<std::uint64_t>(kThreads - 1));
+    EXPECT_EQ(cache.stats().result_hits, summed);
+}
+
+TEST(CompiledCacheRecords, EvictionAndClearTakeTheRecordsAlong)
+{
+    const std::uint64_t record = CompiledCache::recordBytes("s", 1);
+    CompiledCache cache;
+    // Room for two artifacts with one record each, not three.
+    cache.setByteBudget(2 * (60 + record) + 30);
+    int executes = 0;
+    const auto execute = [&] {
+        ++executes;
+        return stubResults(1, 1);
+    };
+    for (const char* key : {"netA#l0", "netB#l0"}) {
+        cache.getOrCompile(key, [] { return stubLayer(60); });
+        cache.getOrExecute(key, "s", execute);
+    }
+    EXPECT_EQ(cache.stats().bytes, 2 * (60 + record));
+
+    // netC pushes out the least recently used slot, netA, and its
+    // record with it.
+    cache.getOrCompile("netC#l0", [] { return stubLayer(60); });
+    EXPECT_EQ(cache.stats().evictions, 1u);
+    EXPECT_EQ(cache.stats().bytes, (60 + record) + 60);
+    cache.setByteBudget(0);
+    cache.getOrExecute("netB#l0", "s", execute);
+    EXPECT_EQ(executes, 2); // netB's record survived
+    cache.getOrCompile("netA#l0", [] { return stubLayer(60); });
+    cache.getOrExecute("netA#l0", "s", execute);
+    EXPECT_EQ(executes, 3); // netA's did not
+    EXPECT_EQ(cache.stats().bytes, 3 * 60 + 2 * record);
+
+    cache.clear();
+    EXPECT_EQ(cache.stats().bytes, 0u);
+    cache.getOrExecute("netB#l0", "s", execute);
+    EXPECT_EQ(executes, 4); // cleared with its slot
+    EXPECT_EQ(cache.stats().result_hits, 0u);
+}
+
+TEST(CompiledCacheRecords, InsertFaultRetainsNeitherArtifactNorRecord)
+{
+    fault::reset();
+    fault::configure("cache.insert=1");
+    CompiledCache cache;
+    int executes = 0;
+    const auto execute = [&] {
+        ++executes;
+        return stubResults(1, 9);
+    };
+    for (int i = 0; i < 2; ++i) {
+        cache.getOrCompile("insert-key", [] { return stubLayer(32); });
+        cache.getOrExecute("insert-key", "loas", execute);
+    }
+    fault::reset();
+    EXPECT_EQ(executes, 2);
+    EXPECT_EQ(cache.stats().misses, 2u);
+    EXPECT_EQ(cache.stats().result_hits, 0u);
+    EXPECT_EQ(cache.stats().entries, 0u);
     EXPECT_EQ(cache.stats().bytes, 0u);
 }
 
@@ -439,6 +610,11 @@ TEST(ProcessCache, ConcurrentEnginesShareOneCache)
     EXPECT_EQ(stats.misses, 1u); // one key, compiled exactly once
     EXPECT_EQ(stats.hits, 3u);   // the other three requests shared it
     EXPECT_EQ(stats.entries, 1u);
+    // Each design's layer executed once across both runs; the other
+    // run replayed its record.
+    EXPECT_EQ(a.compile_cache.result_hits + b.compile_cache.result_hits,
+              2u);
+    EXPECT_EQ(stats.result_hits, 2u);
     for (const SimReport* report : {&a, &b})
         for (std::size_t i = 0; i < reference.runs.size(); ++i)
             EXPECT_EQ(json::toJson(report->runs[i].result),

@@ -139,6 +139,12 @@ TEST(Serve, WarmRepeatRequestCompilesNothing)
     const JsonValue* cache = stats->get("cache");
     EXPECT_EQ(cache->getNumber("misses", -1), 0.0);
     EXPECT_GT(cache->getNumber("hits", 0), 0.0);
+    // ...and executes nothing: its one layer replays the cold run's
+    // result record.
+    EXPECT_EQ(
+        cold.get("stats")->get("cache")->getNumber("result_hits", -1),
+        0.0);
+    EXPECT_EQ(cache->getNumber("result_hits", -1), 1.0);
 
     // Identical inputs, identical bytes — cold or warm.
     EXPECT_EQ(cold.get("report")->string, warm.get("report")->string);

@@ -230,6 +230,118 @@ TEST(SimEngineSynthesis, CancellationStopsTheRun)
     EXPECT_EQ(report.synth_layers, 2 * request.networks[0].layers.size());
 }
 
+TEST(SimEngineRecords, RepeatedRunReplaysEveryLayer)
+{
+    const SimRequest cold_request = twoLayerRequest();
+    const std::size_t layers = cold_request.networks[0].layers.size();
+    const std::size_t cells = cold_request.accels.size();
+    const std::string cold =
+        json::toJson(SimEngine().run(cold_request));
+
+    CompiledCache shared;
+    SimRequest request = cold_request;
+    request.compiled_cache = &shared;
+    const SimReport first = SimEngine().run(request);
+    const SimReport repeat = SimEngine().run(request);
+    EXPECT_EQ(first.compile_cache.result_hits, 0u);
+    EXPECT_EQ(repeat.compile_cache.result_hits, layers * cells);
+
+    // Artifact lookups count exactly as they would without records:
+    // five designs of five (family, ft) keys, compiled once, then hit.
+    EXPECT_EQ(first.compile_cache.misses, layers * cells);
+    EXPECT_EQ(first.compile_cache.hits, 0u);
+    EXPECT_EQ(first.synth_layers, 2 * layers);
+    EXPECT_EQ(repeat.compile_cache.misses, 0u);
+    EXPECT_EQ(repeat.compile_cache.hits, layers * cells);
+    EXPECT_EQ(repeat.synth_layers, 0u);
+
+    EXPECT_EQ(json::toJson(first), cold);
+    EXPECT_EQ(json::toJson(repeat), cold);
+}
+
+TEST(SimEngineRecords, DesignsSharingAnArtifactNeverShareRecords)
+{
+    const std::vector<std::vector<std::string>> pairs = {
+        {"loas?pes=8", "loas?pes=16"},
+        {"sparten?fused=0", "sparten?fused=1"}};
+    for (const auto& designs : pairs) {
+        CompiledCache shared;
+        for (const auto& design : designs) {
+            SCOPED_TRACE(design);
+            SimRequest request;
+            request.accels = {design};
+            request.networks = {NetworkSpec{
+                "two-layers", {tables::alexnetL4(), tables::vgg16L8()}}};
+            request.seed = 19;
+            const std::string own = json::toJson(SimEngine().run(request));
+            request.compiled_cache = &shared;
+            const SimReport report = SimEngine().run(request);
+            EXPECT_EQ(report.compile_cache.result_hits, 0u);
+            EXPECT_EQ(json::toJson(report), own);
+        }
+        // The second design executed the first one's artifacts.
+        EXPECT_EQ(shared.stats().misses, 2u);
+        EXPECT_EQ(shared.stats().hits, 2u);
+    }
+}
+
+/** Two LoAS designs on one layer, sharing one artifact in `cache`. */
+SimRequest
+pesRequest(const std::string& network, const LayerSpec& layer,
+           CompiledCache* cache)
+{
+    SimRequest request;
+    request.accels = {"loas?pes=8", "loas?pes=16"};
+    request.networks = {NetworkSpec{network, {layer}}};
+    request.seed = 7;
+    request.compiled_cache = cache;
+    return request;
+}
+
+/** What a pesRequest leaves resident: its artifact and two records. */
+std::uint64_t
+residentBytes(const SimRequest& request)
+{
+    const auto layers = generateNetwork(request.networks[0], request.seed);
+    std::uint64_t bytes = LoasSim().prepare(layers[0]).bytes;
+    for (const auto& design : request.accels)
+        bytes += CompiledCache::recordBytes(design, 1);
+    return bytes;
+}
+
+TEST(SimEngineRecords, BytesTrackArtifactsAndRecordsThroughEviction)
+{
+    CompiledCache shared;
+    const SimRequest a = pesRequest("net-a", tables::alexnetL4(), &shared);
+    const SimRequest b = pesRequest("net-b", tables::vgg16L8(), &shared);
+    const std::uint64_t bytes_a = residentBytes(a);
+    const std::uint64_t bytes_b = residentBytes(b);
+
+    const std::string cold_a = json::toJson(SimEngine().run(a));
+    EXPECT_EQ(shared.stats().bytes, bytes_a);
+    EXPECT_EQ(SimEngine().run(a).compile_cache.result_hits, 2u);
+    EXPECT_EQ(shared.stats().bytes, bytes_a); // a replay adds nothing
+
+    // Room for one request's artifact and records, not both: b's
+    // second record evicts finished net-a, records included.
+    shared.setByteBudget(bytes_a + bytes_b - 1);
+    EXPECT_EQ(SimEngine().run(b).compile_cache.evictions, 1u);
+    EXPECT_EQ(shared.stats().entries, 1u);
+    EXPECT_EQ(shared.stats().bytes, bytes_b);
+
+    // So net-a recompiles and re-executes, and evicts net-b in turn.
+    const SimReport again = SimEngine().run(a);
+    EXPECT_EQ(again.compile_cache.misses, 1u);
+    EXPECT_EQ(again.compile_cache.result_hits, 0u);
+    EXPECT_EQ(shared.stats().bytes, bytes_a);
+    EXPECT_EQ(json::toJson(again), cold_a);
+
+    shared.clear();
+    EXPECT_EQ(shared.stats().bytes, 0u);
+    EXPECT_EQ(SimEngine().run(a).compile_cache.result_hits, 0u);
+    EXPECT_EQ(shared.stats().bytes, bytes_a);
+}
+
 TEST(SimEngineJson, ReportSerializesEveryRun)
 {
     SimRequest request;
