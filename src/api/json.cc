@@ -136,6 +136,8 @@ toJson(const CompiledCache::Stats& stats, std::uint64_t synth_layers,
         .field("disk_writes", stats.disk_writes)
         .field("disk_rejects", stats.disk_rejects)
         .field("result_hits", stats.result_hits)
+        .field("result_disk_hits", stats.result_disk_hits)
+        .field("result_disk_writes", stats.result_disk_writes)
         .field("evictions", stats.evictions)
         .field("disk_trips", stats.disk_trips)
         .field("disk_tmp_swept", stats.disk_tmp_swept)

@@ -173,40 +173,31 @@ SimEngine::run(const SimRequest& request) const
         const std::string design = accel.spec.str(); // keys its records
         const std::vector<LayerData>* layers = nullptr;
         const std::size_t n_layers = net.layers.size();
-        std::vector<std::string> keys;
-        std::vector<std::shared_ptr<const CompiledLayer>> compiled;
-        keys.reserve(n_layers);
-        compiled.reserve(n_layers);
-        for (std::size_t l = 0; l < n_layers; ++l) {
-            keys.push_back(compiledLayerKey(net.name, l, accel.ft_workload,
-                                            family, net.layers[l].t,
-                                            request.seed, request.batch));
-            compiled.push_back(cache->getOrCompile(
-                keys[l],
-                [&] { return instance->prepare((*layers)[l]); },
-                &attributed,
-                [&] { layers = synthesize(n, accel.ft_workload); }));
-        }
 
-        // Each layer's results come from its artifact slot's record
-        // for this design, or from an execute that stores one.
-        const auto t_exec = Clock::now();
+        // One cache call per layer: its record (memory, then disk),
+        // else an execute of its artifact (memory, disk or compile),
+        // whose results become the record.
         std::vector<std::shared_ptr<const LayerResults>> results;
         results.reserve(n_layers);
         for (std::size_t l = 0; l < n_layers; ++l) {
-            const auto execute = [&] {
+            const auto execute = [&](const CompiledLayer& compiled) {
+                const auto t_exec = Clock::now();
                 LayerResults inputs;
-                instance->executeBatch(*compiled[l], batch_threads,
-                                       &inputs);
+                instance->executeBatch(compiled, batch_threads, &inputs);
+                sim_ns += elapsed_ns(t_exec);
                 return inputs;
             };
-            results.push_back(
-                cache->getOrExecute(keys[l], design, execute, &attributed));
+            results.push_back(cache->getOrRun(
+                compiledLayerKey(net.name, l, accel.ft_workload, family,
+                                 net.layers[l].t, request.seed,
+                                 request.batch),
+                design, [&] { return instance->prepare((*layers)[l]); },
+                execute, &attributed,
+                [&] { layers = synthesize(n, accel.ft_workload); }));
         }
         std::vector<RunResult>* per_input =
             request.batch > 1 ? &run.per_input : nullptr;
         run.result = instance->reduceNetwork(results, net.name, per_input);
-        sim_ns += elapsed_ns(t_exec);
     });
 
     // Energy is a pure function of each cell's RunResult, so it is

@@ -17,11 +17,12 @@
  * every format family. A run whose lookups all hit synthesizes
  * nothing.
  *
- * Layer results are memoized beside their artifacts: after each
- * layer's lookup the engine takes the artifact slot's result record
- * for its design (CompiledCache::getOrExecute), or executes the layer
- * and stores one, then reduces the layers with
- * Accelerator::reduceNetwork. A repeated request on a shared cache
+ * Layer results are memoized beside their artifacts: one
+ * CompiledCache::getOrRun call per layer takes the result record for
+ * the cell's design — from memory, else from the disk level — or
+ * executes the layer's artifact and stores one, then the engine
+ * reduces the layers with Accelerator::reduceNetwork. A repeated
+ * request on a shared cache, or a new process over a warm disk level,
  * executes nothing and reports the same bytes.
  *
  * Results are deterministic: each cell is simulated on a private
@@ -138,16 +139,14 @@ struct SimReport
      * this run's own lookups, attributed exactly at the cache mutex
      * (thread-count invariant, and exact even when several engine
      * runs share one cache concurrently — each run tallies only the
-     * hits/misses/disk traffic its own getOrCompile calls and the
-     * result_hits its getOrExecute calls caused);
+     * artifact and record traffic its own getOrRun calls caused);
      * entries/bytes are the shared cache's occupancy after the run.
      * compile_ms is prepare time and varies run to run.
      */
     CompiledCache::Stats compile_cache;
 
-    /** Time spent compiling (prepare), and obtaining layer results —
-     *  executes plus result-record lookups —, each summed over
-     *  workers: CPU sums, not wall time. */
+    /** Time spent compiling (prepare), and executing layers, each
+     *  summed over workers: CPU sums, not wall time. */
     double prepare_ms = 0.0;
     double sim_ms = 0.0;
 

@@ -41,8 +41,9 @@ inline constexpr char kListSchema[] = "loas-list/2";
  *  circuit-breaker fields in cache stats, /4 the resolved SIMD ISA
  *  and worker-pool fields in the version and stats replies, /5 the
  *  synth_ms and synth_layers per-request stats, /6 the result_hits
- *  cache counter. */
-inline constexpr char kServeSchema[] = "loas-serve/6";
+ *  cache counter, /7 the result_disk_hits and result_disk_writes
+ *  cache counters. */
+inline constexpr char kServeSchema[] = "loas-serve/7";
 
 /** loas_cli version self-description object; /2 added the resolved
  *  SIMD ISA. */

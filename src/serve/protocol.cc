@@ -140,6 +140,9 @@ cacheStatsJson(const CompiledCache::Stats& stats)
     out += ", \"disk_writes\": " + json::num(stats.disk_writes);
     out += ", \"disk_rejects\": " + json::num(stats.disk_rejects);
     out += ", \"result_hits\": " + json::num(stats.result_hits);
+    out += ", \"result_disk_hits\": " + json::num(stats.result_disk_hits);
+    out += ", \"result_disk_writes\": " +
+           json::num(stats.result_disk_writes);
     out += ", \"evictions\": " + json::num(stats.evictions);
     out += ", \"disk_trips\": " + json::num(stats.disk_trips);
     out += ", \"disk_tmp_swept\": " + json::num(stats.disk_tmp_swept);

@@ -1,7 +1,7 @@
 /**
  * @file
  * Wire protocol of the `loas_cli serve` daemon: newline-delimited JSON
- * over a local stream socket, schema `loas-serve/6`. Every request is
+ * over a local stream socket, schema `loas-serve/7`. Every request is
  * one JSON object on one line, every reply one JSON object on one
  * line; a connection may issue any number of requests sequentially.
  * (serve/2 added the optional "batch" submit field and the
@@ -13,8 +13,10 @@
  * object to the version and stats replies. serve/5 added "synth_ms"
  * and "synth_layers" to per-request stats. serve/6 added the
  * "result_hits" counter — layers replayed from a result record
- * instead of executed — to cache stats. All are additive; older
- * clients keep working unchanged.)
+ * instead of executed — to cache stats. serve/7 added the
+ * "result_disk_hits" and "result_disk_writes" counters — records read
+ * from and written to the disk level. All are additive; older clients
+ * keep working unchanged.)
  *
  * Requests ("cmd" selects one):
  *
@@ -56,7 +58,8 @@
  * compile_ms — prepare time —, sim_ms, synth_ms and synth_layers —
  * the workload synthesis the run needed, 0 when every artifact was
  * cached —, inferences_per_s — batch x runs / run wall time — and the
- * exact attributed cache counters, result_hits included).
+ * exact attributed cache counters, the result_* record counters
+ * included).
  */
 
 #pragma once

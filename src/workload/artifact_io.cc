@@ -1,5 +1,7 @@
 #include "workload/artifact_io.hh"
 
+#include <array>
+#include <iterator>
 #include <memory>
 #include <utility>
 
@@ -388,6 +390,83 @@ deserializeCompiledLayer(Reader& in, CompiledLayer& out)
     else
         return false;
     return out.artifact != nullptr && in.ok() && in.remaining() == 0;
+}
+
+namespace {
+
+using Counters = std::array<std::uint64_t, kNumCategories>;
+
+constexpr Counters TrafficStats::*kTrafficFields[] = {
+    &TrafficStats::dram_read, &TrafficStats::dram_write,
+    &TrafficStats::sram_read, &TrafficStats::sram_write};
+
+constexpr std::uint64_t OpCounts::*kOpFields[] = {
+    &OpCounts::acc_ops,          &OpCounts::correction_ops,
+    &OpCounts::mac_ops,          &OpCounts::fast_prefix_ops,
+    &OpCounts::laggy_prefix_ops, &OpCounts::fifo_ops,
+    &OpCounts::lif_ops,          &OpCounts::mask_and_ops,
+    &OpCounts::merge_ops,        &OpCounts::encode_ops};
+
+// A field added to RunResult (or its traffic and op counters) must be
+// serialized below and bump ArtifactStore::kResultVersion; these fail
+// to compile until the layout above is updated.
+static_assert(sizeof(TrafficStats) ==
+              std::size(kTrafficFields) * sizeof(Counters));
+static_assert(sizeof(OpCounts) ==
+              std::size(kOpFields) * sizeof(std::uint64_t));
+static_assert(sizeof(RunResult) ==
+              2 * sizeof(std::string) + 5 * sizeof(std::uint64_t) +
+                  sizeof(TrafficStats) + sizeof(OpCounts) +
+                  sizeof(double));
+
+} // namespace
+
+void
+serializeLayerResults(const LayerResults& results, Writer& out)
+{
+    out.u64(results.size());
+    for (const RunResult& r : results) {
+        out.str(r.accel);
+        out.str(r.workload);
+        out.u64(r.compute_cycles);
+        out.u64(r.dram_cycles);
+        out.u64(r.total_cycles);
+        for (const auto field : kTrafficFields)
+            for (const std::uint64_t v : r.traffic.*field)
+                out.u64(v);
+        for (const auto field : kOpFields)
+            out.u64(r.ops.*field);
+        out.u64(r.cache_hits);
+        out.u64(r.cache_misses);
+        out.f64(r.static_scale);
+    }
+}
+
+bool
+deserializeLayerResults(Reader& in, LayerResults& out)
+{
+    std::uint64_t count = 0;
+    if (!in.u64(count) || count == 0)
+        return false;
+    out.clear();
+    // Each result reads at least its fixed fields, so a corrupt count
+    // fails on the first read past the payload, never allocates ahead.
+    for (std::uint64_t i = 0; i < count; ++i) {
+        RunResult& r = out.emplace_back();
+        bool ok = in.str(r.accel) && in.str(r.workload) &&
+                  in.u64(r.compute_cycles) && in.u64(r.dram_cycles) &&
+                  in.u64(r.total_cycles);
+        for (const auto field : kTrafficFields)
+            for (std::uint64_t& v : r.traffic.*field)
+                ok = ok && in.u64(v);
+        for (const auto field : kOpFields)
+            ok = ok && in.u64(r.ops.*field);
+        ok = ok && in.u64(r.cache_hits) && in.u64(r.cache_misses) &&
+             in.f64(r.static_scale);
+        if (!ok)
+            return false;
+    }
+    return in.remaining() == 0;
 }
 
 namespace {

@@ -1,12 +1,14 @@
 /**
  * @file
- * Binary serialization of compiled-layer artifacts, the payload format
- * of the on-disk cache level (artifact_store.hh). Every format family
- * (LoAS, SparTen-SNN, GoSPA, Gamma, systolic) round-trips its full
- * prepare() output — fibers, CSR views, cumulative offset tables, and
- * the RankedBitmask rank tables — so a disk hit reconstructs exactly
- * what a fresh compile would have produced and execute() is
- * byte-identical either way.
+ * Binary serialization of compiled-layer artifacts and layer results,
+ * the payload formats of the on-disk cache level (artifact_store.hh).
+ * Every format family (LoAS, SparTen-SNN, GoSPA, Gamma, systolic)
+ * round-trips its full prepare() output — fibers, CSR views,
+ * cumulative offset tables, and the RankedBitmask rank tables — so a
+ * disk hit reconstructs exactly what a fresh compile would have
+ * produced and execute() is byte-identical either way. Layer results
+ * round-trip every RunResult field, so a replayed layer reduces to
+ * the same report bytes as an executed one.
  *
  * The encoding is a flat little-ceremony stream of host-endian
  * fixed-width fields and length-prefixed arrays. It is a *cache*
@@ -23,6 +25,7 @@
 #include <vector>
 
 #include "accel/compiled_layer.hh"
+#include "accel/run_result.hh"
 
 namespace loas {
 namespace artio {
@@ -149,6 +152,16 @@ bool serializeCompiledLayer(const CompiledLayer& layer, Writer& out);
  * malformed or truncated payload (treated as a cache miss upstream).
  */
 bool deserializeCompiledLayer(Reader& in, CompiledLayer& out);
+
+/** Serialize one layer's per-input results, every RunResult field in
+ *  declaration order (the payload of a result record). */
+void serializeLayerResults(const LayerResults& results, Writer& out);
+
+/**
+ * Reconstruct layer results from `in`. Returns false on any malformed
+ * or truncated payload, trailing bytes, or zero inputs.
+ */
+bool deserializeLayerResults(Reader& in, LayerResults& out);
 
 /** FNV-1a 64-bit over bytes, the store's filename hash. */
 std::uint64_t fnv1a(const char* data, std::size_t size,

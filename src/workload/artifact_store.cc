@@ -23,17 +23,52 @@ namespace fs = std::filesystem;
 
 namespace {
 
-constexpr char kMagic[8] = {'L', 'O', 'A', 'S', 'A', 'R', 'T', '\0'};
-constexpr std::size_t kHeaderBytes =
-    sizeof(kMagic) + sizeof(std::uint32_t) + 2 * sizeof(std::uint64_t);
+/** What tells the two file kinds apart on disk. */
+struct FileKind
+{
+    char magic[8];
+    /** Records stamp kResultVersion after kFormatVersion. */
+    bool result_version;
 
-/** A not-yet-renamed writer temp: "<hash>.loasart.tmp.<pid>.<n>". */
+    std::size_t
+    headerBytes() const
+    {
+        return sizeof(magic) +
+               (result_version ? 2 : 1) * sizeof(std::uint32_t) +
+               2 * sizeof(std::uint64_t);
+    }
+};
+
+constexpr FileKind kArtifact{{'L', 'O', 'A', 'S', 'A', 'R', 'T', '\0'},
+                             false};
+constexpr FileKind kRecord{{'L', 'O', 'A', 'S', 'R', 'E', 'S', '\0'},
+                           true};
+
+/** A not-yet-renamed writer temp: "<hash><suffix>.tmp.<pid>.<n>". */
 bool
 isTempFile(const fs::path& path)
 {
-    return path.filename().string().find(
-               std::string(ArtifactStore::kFileSuffix) + ".tmp.") !=
-           std::string::npos;
+    const std::string name = path.filename().string();
+    for (const char* suffix :
+         {ArtifactStore::kFileSuffix, ArtifactStore::kRecordSuffix})
+        if (name.find(std::string(suffix) + ".tmp.") != std::string::npos)
+            return true;
+    return false;
+}
+
+/** `dir`/<16-hex FNV-1a of `name`><suffix>. Keys and specs contain
+ *  '#', '?', '&' and other shell-hostile characters; the filename is a
+ *  hash, and the payload names what it stores, so collisions read as
+ *  rejections, not wrong data. */
+std::string
+hashedPath(const std::string& dir, const std::string& name,
+           const char* suffix)
+{
+    char hex[32];
+    std::snprintf(hex, sizeof(hex), "%016llx",
+                  static_cast<unsigned long long>(
+                      artio::fnv1a(name.data(), name.size())));
+    return (fs::path(dir) / (std::string(hex) + suffix)).string();
 }
 
 /** write() the whole buffer, riding out EINTR and short writes; a
@@ -55,113 +90,100 @@ writeAllFd(int fd, const char* data, std::size_t size)
     return true;
 }
 
-} // namespace
-
-ArtifactStore::ArtifactStore(std::string dir) : dir_(std::move(dir)) {}
-
-std::string
-ArtifactStore::path(const std::string& key) const
+/** A whole file read into one buffer, its payload past the header. */
+struct Payload
 {
-    // Keys contain '#', '?', '&' and other shell-hostile characters;
-    // the filename is a hash, the key itself is validated from the
-    // payload on load (collisions read as rejections, not wrong data).
-    char name[32];
-    std::snprintf(name, sizeof(name), "%016llx",
-                  static_cast<unsigned long long>(
-                      artio::fnv1a(key.data(), key.size())));
-    return (fs::path(dir_) / (std::string(name) + kFileSuffix))
-        .string();
-}
+    std::unique_ptr<char[]> blob;
+    const char* data = nullptr;
+    std::size_t size = 0;
+};
 
-ArtifactStore::LoadResult
-ArtifactStore::load(const std::string& key) const
+/**
+ * Read the `kind` file at `path` and validate its header: magic,
+ * versions, size and checksum. On success `payload` spans the
+ * checksummed payload; otherwise false, with `result` marking a
+ * rejection (an I/O error or bad data) — or nothing, when no file
+ * exists (a plain miss).
+ */
+bool
+readPayload(const std::string& path, const FileKind& kind,
+            Payload& payload, ArtifactStore::LoadResult& result)
 {
-    LoadResult result;
-    const int fd = ::open(path(key).c_str(), O_RDONLY | O_CLOEXEC);
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
     if (fd < 0)
-        return result; // plain miss: nothing stored yet
+        return false; // plain miss: nothing stored yet
 
-    const auto reject = [&result] {
-        result.rejected = true;
-        return result;
-    };
     // One fstat-sized read into an uninitialized buffer, which the
     // checks and the deserializer then work on in place. The file
     // exists, so an injected read fault is an EIO mid-read: like a
     // failed or short read, an I/O error that rejects the file.
     struct stat st{};
     std::size_t size = 0;
-    std::unique_ptr<char[]> blob;
     bool read_ok = false;
     if (!fault::shouldFail(fault::Site::DiskRead) &&
         ::fstat(fd, &st) == 0) {
         size = static_cast<std::size_t>(st.st_size);
-        blob.reset(new char[size]);
-        read_ok = ::read(fd, blob.get(), size) ==
+        payload.blob.reset(new char[size]);
+        read_ok = ::read(fd, payload.blob.get(), size) ==
                   static_cast<ssize_t>(size);
     }
     ::close(fd);
+    result.rejected = true;
     if (!read_ok) {
         result.io_error = true;
-        return reject();
+        return false;
     }
-    const char* const data = blob.get();
-    if (size < kHeaderBytes)
-        return reject();
-    if (std::memcmp(data, kMagic, sizeof(kMagic)) != 0)
-        return reject();
+    const char* const data = payload.blob.get();
+    if (size < kind.headerBytes() ||
+        std::memcmp(data, kind.magic, sizeof(kind.magic)) != 0)
+        return false;
 
-    std::uint32_t version = 0;
+    std::uint32_t version = 0, result_version = 0;
     std::uint64_t checksum = 0, payload_size = 0;
-    std::size_t pos = sizeof(kMagic);
+    std::size_t pos = sizeof(kind.magic);
     std::memcpy(&version, data + pos, sizeof(version));
     pos += sizeof(version);
+    if (kind.result_version) {
+        std::memcpy(&result_version, data + pos, sizeof(result_version));
+        pos += sizeof(result_version);
+    }
     std::memcpy(&checksum, data + pos, sizeof(checksum));
     pos += sizeof(checksum);
     std::memcpy(&payload_size, data + pos, sizeof(payload_size));
     pos += sizeof(payload_size);
 
-    if (version != kFormatVersion)
-        return reject();
-    if (payload_size != size - kHeaderBytes)
-        return reject();
-    if (artio::fnv1aWords(data + pos, payload_size) != checksum)
-        return reject();
-
-    artio::Reader reader(data + pos,
-                         static_cast<std::size_t>(payload_size));
-    std::string stored_key;
-    if (!reader.str(stored_key) || stored_key != key)
-        return reject();
-    auto layer = std::make_shared<CompiledLayer>();
-    if (!artio::deserializeCompiledLayer(reader, *layer))
-        return reject();
-    result.layer = std::move(layer);
-    return result;
+    if (version != ArtifactStore::kFormatVersion ||
+        (kind.result_version &&
+         result_version != ArtifactStore::kResultVersion))
+        return false;
+    if (payload_size != size - pos ||
+        artio::fnv1aWords(data + pos, payload_size) != checksum)
+        return false;
+    result.rejected = false;
+    payload.data = data + pos;
+    payload.size = static_cast<std::size_t>(payload_size);
+    return true;
 }
 
+/** Prefix `body` with `kind`'s header and publish it at `final_path`
+ *  (creating `dir` on first use). */
 bool
-ArtifactStore::store(const std::string& key,
-                     const CompiledLayer& layer) const
+writeFile(const std::string& dir, const std::string& final_path,
+          const FileKind& kind, const std::string& body)
 {
-    artio::Writer payload;
-    payload.str(key);
-    if (!artio::serializeCompiledLayer(layer, payload))
-        return false;
-
     std::error_code ec;
-    fs::create_directories(dir_, ec);
+    fs::create_directories(dir, ec);
     if (ec)
         return false;
 
-    const std::string body = payload.take();
-    std::string blob(kMagic, sizeof(kMagic));
-    const std::uint32_t version = kFormatVersion;
+    std::string blob(kind.magic, sizeof(kind.magic));
+    const std::uint32_t versions[] = {ArtifactStore::kFormatVersion,
+                                      ArtifactStore::kResultVersion};
+    blob.append(reinterpret_cast<const char*>(versions),
+                (kind.result_version ? 2 : 1) * sizeof(versions[0]));
     const std::uint64_t checksum =
         artio::fnv1aWords(body.data(), body.size());
     const std::uint64_t payload_size = body.size();
-    blob.append(reinterpret_cast<const char*>(&version),
-                sizeof(version));
     blob.append(reinterpret_cast<const char*>(&checksum),
                 sizeof(checksum));
     blob.append(reinterpret_cast<const char*>(&payload_size),
@@ -175,7 +197,6 @@ ArtifactStore::store(const std::string& key,
     // and because ENOSPC/short writes must be caught on *every* step:
     // write, fsync and close can each be the first to report them.
     static std::atomic<std::uint64_t> write_counter{0};
-    const std::string final_path = path(key);
     const std::string tmp_path =
         final_path + ".tmp." + std::to_string(::getpid()) + "." +
         std::to_string(write_counter.fetch_add(1));
@@ -204,6 +225,82 @@ ArtifactStore::store(const std::string& key,
     return true;
 }
 
+} // namespace
+
+ArtifactStore::ArtifactStore(std::string dir) : dir_(std::move(dir)) {}
+
+std::string
+ArtifactStore::path(const std::string& key) const
+{
+    return hashedPath(dir_, key, kFileSuffix);
+}
+
+std::string
+ArtifactStore::recordPath(const std::string& key,
+                          const std::string& spec) const
+{
+    return hashedPath(dir_, key + '\n' + spec, kRecordSuffix);
+}
+
+ArtifactStore::LoadResult
+ArtifactStore::load(const std::string& key) const
+{
+    LoadResult result;
+    Payload payload;
+    if (!readPayload(path(key), kArtifact, payload, result))
+        return result;
+    artio::Reader reader(payload.data, payload.size);
+    std::string stored_key;
+    auto layer = std::make_shared<CompiledLayer>();
+    if (!reader.str(stored_key) || stored_key != key ||
+        !artio::deserializeCompiledLayer(reader, *layer))
+        result.rejected = true;
+    else
+        result.layer = std::move(layer);
+    return result;
+}
+
+bool
+ArtifactStore::store(const std::string& key,
+                     const CompiledLayer& layer) const
+{
+    artio::Writer payload;
+    payload.str(key);
+    return artio::serializeCompiledLayer(layer, payload) &&
+           writeFile(dir_, path(key), kArtifact, payload.take());
+}
+
+ArtifactStore::LoadResult
+ArtifactStore::loadRecord(const std::string& key,
+                          const std::string& spec) const
+{
+    LoadResult result;
+    Payload payload;
+    if (!readPayload(recordPath(key, spec), kRecord, payload, result))
+        return result;
+    artio::Reader reader(payload.data, payload.size);
+    std::string stored_key, stored_spec;
+    auto results = std::make_shared<LayerResults>();
+    if (!reader.str(stored_key) || stored_key != key ||
+        !reader.str(stored_spec) || stored_spec != spec ||
+        !artio::deserializeLayerResults(reader, *results))
+        result.rejected = true;
+    else
+        result.results = std::move(results);
+    return result;
+}
+
+bool
+ArtifactStore::storeRecord(const std::string& key, const std::string& spec,
+                           const LayerResults& results) const
+{
+    artio::Writer payload;
+    payload.str(key);
+    payload.str(spec);
+    artio::serializeLayerResults(results, payload);
+    return writeFile(dir_, recordPath(key, spec), kRecord, payload.take());
+}
+
 ArtifactStore::DiskStats
 ArtifactStore::stats() const
 {
@@ -216,7 +313,9 @@ ArtifactStore::stats() const
             ++stats.tmp_files;
             continue;
         }
-        if (entry.path().extension() != kFileSuffix)
+        const fs::path suffix = entry.path().extension();
+        const bool record = suffix == kRecordSuffix;
+        if (!record && suffix != kFileSuffix)
             continue;
         // A file may vanish between iteration and stat (concurrent
         // clear/rename); skip it rather than summing the error value.
@@ -225,8 +324,8 @@ ArtifactStore::stats() const
             ec.clear();
             continue;
         }
-        ++stats.files;
-        stats.bytes += size;
+        ++(record ? stats.records : stats.files);
+        (record ? stats.record_bytes : stats.bytes) += size;
     }
     return stats;
 }
@@ -239,7 +338,8 @@ ArtifactStore::clear() const
     for (const auto& entry : fs::directory_iterator(dir_, ec)) {
         if (!entry.is_regular_file(ec))
             continue;
-        if (entry.path().extension() != kFileSuffix &&
+        const fs::path suffix = entry.path().extension();
+        if (suffix != kFileSuffix && suffix != kRecordSuffix &&
             !isTempFile(entry.path()))
             continue;
         if (fs::remove(entry.path(), ec))

@@ -67,7 +67,17 @@ CompiledCache::touchLocked(const std::string& key, Slot& slot)
 }
 
 void
-CompiledCache::enforceBudgetLocked(const std::string& protect)
+CompiledCache::countLocked(std::uint64_t Stats::*counter,
+                           Stats* attributed)
+{
+    ++(stats_.*counter);
+    if (attributed)
+        ++(attributed->*counter);
+}
+
+void
+CompiledCache::enforceBudgetLocked(const std::string& protect,
+                                   Stats* attributed)
 {
     while (budget_ != 0 && stats_.bytes > budget_) {
         // Finished-network entries go first, oldest first; then plain
@@ -88,17 +98,20 @@ CompiledCache::enforceBudgetLocked(const std::string& protect)
         assert(it != slots_.end());
         eraseAccountedLocked(*it->second);
         slots_.erase(it);
-        ++stats_.evictions;
+        countLocked(&Stats::evictions, attributed);
     }
 }
 
-bool
-CompiledCache::diskAllowedLocked() const
+CompiledCache::Disk
+CompiledCache::requestDiskLocked() const
 {
-    if (!breaker_open_)
-        return true;
-    // Half-open: one request past the cooldown probes the disk again.
-    return std::chrono::steady_clock::now() >= breaker_retry_at_;
+    // An open breaker holds the whole request memory-only: no load, no
+    // store, until one request past the cooldown probes the disk again
+    // (half-open) and closes it.
+    if (breaker_open_ &&
+        std::chrono::steady_clock::now() < breaker_retry_at_)
+        return nullptr;
+    return disk_;
 }
 
 void
@@ -126,10 +139,8 @@ CompiledCache::recordDiskOutcomeLocked(bool ok, Stats* attributed)
         return;
     breaker_open_ = true;
     breaker_retry_at_ = std::chrono::steady_clock::now() + cooldown;
-    ++stats_.disk_trips;
+    countLocked(&Stats::disk_trips, attributed);
     stats_.disk_degraded = 1;
-    if (attributed)
-        ++attributed->disk_trips;
 }
 
 std::shared_ptr<const CompiledLayer>
@@ -137,18 +148,27 @@ CompiledCache::getOrCompile(const std::string& key,
                             const Compile& compile, Stats* attributed,
                             const std::function<void()>& on_miss)
 {
+    Disk disk;
+    {
+        const std::lock_guard<std::mutex> lock(mutex_);
+        disk = requestDiskLocked();
+    }
+    return fillSlot(key, compile, attributed, on_miss, disk)->value;
+}
+
+std::shared_ptr<CompiledCache::Slot>
+CompiledCache::fillSlot(const std::string& key, const Compile& compile,
+                        Stats* attributed,
+                        const std::function<void()>& on_miss,
+                        const Disk& disk)
+{
     std::shared_ptr<Slot> slot;
-    std::shared_ptr<const ArtifactStore> disk;
     {
         const std::lock_guard<std::mutex> lock(mutex_);
         auto& entry = slots_[key];
         if (!entry)
             entry = std::make_shared<Slot>();
         slot = entry;
-        // An open breaker holds the whole request memory-only: no
-        // load, no store, until the half-open probe closes it again.
-        if (disk_ && diskAllowedLocked())
-            disk = disk_;
     }
 
     // The slot mutex makes the fill once-only: the first caller loads
@@ -157,11 +177,9 @@ CompiledCache::getOrCompile(const std::string& key,
     const std::lock_guard<std::mutex> slot_lock(slot->mutex);
     if (slot->value) {
         const std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.hits;
-        if (attributed)
-            ++attributed->hits;
+        countLocked(&Stats::hits, attributed);
         touchLocked(key, *slot);
-        return slot->value;
+        return slot;
     }
 
     // Disk level: a validated file is as good as a compile and far
@@ -169,144 +187,164 @@ CompiledCache::getOrCompile(const std::string& key,
     // falls through to recompile-and-overwrite.
     bool disk_rejected = false;
     bool disk_io_error = false;
+    bool persisted = false;
+    double ms = 0.0;
     if (disk) {
         ArtifactStore::LoadResult loaded = disk->load(key);
         disk_rejected = loaded.rejected;
         disk_io_error = loaded.io_error;
-        if (loaded.layer) {
-            slot->value = std::move(loaded.layer);
-            const std::lock_guard<std::mutex> lock(mutex_);
-            ++stats_.disk_hits;
-            if (attributed)
-                ++attributed->disk_hits;
-            recordDiskOutcomeLocked(true, attributed);
-            // The slot may have been dropped by clear() while the
-            // file was read; only a slot still in the table joins
-            // the accounting and the LRU.
-            const auto it = slots_.find(key);
-            if (it != slots_.end() && it->second == slot) {
-                if (fault::shouldFail(fault::Site::CacheInsert)) {
-                    // Injected insert failure: serve the artifact
-                    // but do not retain it — the next request for
-                    // this key loads or compiles afresh.
-                    slots_.erase(it);
-                } else {
-                    const std::uint64_t evicted_before =
-                        stats_.evictions;
-                    insertAccountedLocked(key, *slot);
-                    enforceBudgetLocked(key);
-                    if (attributed)
-                        attributed->evictions +=
-                            stats_.evictions - evicted_before;
-                }
-            }
-            return slot->value;
-        }
+        slot->value = std::move(loaded.layer);
     }
-
-    if (on_miss)
-        on_miss();
-    using Clock = std::chrono::steady_clock;
-    const auto start = Clock::now();
-    slot->value = std::make_shared<const CompiledLayer>(compile());
-    const double ms =
-        std::chrono::duration<double, std::milli>(Clock::now() - start)
-            .count();
-
-    bool persisted = false;
-    if (disk)
-        persisted = disk->store(key, *slot->value);
+    const bool disk_hit = slot->value != nullptr;
+    if (!disk_hit) {
+        if (on_miss)
+            on_miss();
+        using Clock = std::chrono::steady_clock;
+        const auto start = Clock::now();
+        slot->value = std::make_shared<const CompiledLayer>(compile());
+        ms = std::chrono::duration<double, std::milli>(Clock::now() -
+                                                       start)
+                 .count();
+        if (disk)
+            persisted = disk->store(key, *slot->value);
+    }
 
     const std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.misses;
-    stats_.compile_ms += ms;
-    if (disk_rejected)
-        ++stats_.disk_rejects;
-    if (persisted)
-        ++stats_.disk_writes;
-    if (attributed) {
-        ++attributed->misses;
-        attributed->compile_ms += ms;
+    if (disk_hit) {
+        countLocked(&Stats::disk_hits, attributed);
+        recordDiskOutcomeLocked(true, attributed);
+    } else {
+        countLocked(&Stats::misses, attributed);
+        stats_.compile_ms += ms;
+        if (attributed)
+            attributed->compile_ms += ms;
         if (disk_rejected)
-            ++attributed->disk_rejects;
+            countLocked(&Stats::disk_rejects, attributed);
         if (persisted)
-            ++attributed->disk_writes;
+            countLocked(&Stats::disk_writes, attributed);
+        // Feed the breaker: a failed read (I/O, not data) and the
+        // store's outcome each count. Data rejections stay out of it —
+        // a stale format version must overwrite, not disable the disk
+        // level.
+        if (disk) {
+            if (disk_io_error)
+                recordDiskOutcomeLocked(false, attributed);
+            recordDiskOutcomeLocked(persisted, attributed);
+        }
     }
-    // Feed the breaker: a failed read (I/O, not data) and the store's
-    // outcome each count. Data rejections stay out of it — a stale
-    // format version must overwrite, not disable the disk level.
-    if (disk) {
-        if (disk_io_error)
-            recordDiskOutcomeLocked(false, attributed);
-        recordDiskOutcomeLocked(persisted, attributed);
-    }
+    // The slot may have been dropped by clear() while it filled; only
+    // a slot still in the table joins the accounting and the LRU.
     const auto it = slots_.find(key);
     if (it != slots_.end() && it->second == slot) {
         if (fault::shouldFail(fault::Site::CacheInsert)) {
             // Injected insert failure: serve the artifact but do not
-            // retain it — the next request for this key recompiles.
+            // retain it — the next request for this key loads or
+            // compiles afresh.
             slots_.erase(it);
         } else {
-            const std::uint64_t evicted_before = stats_.evictions;
             insertAccountedLocked(key, *slot);
-            enforceBudgetLocked(key);
-            if (attributed)
-                attributed->evictions +=
-                    stats_.evictions - evicted_before;
+            enforceBudgetLocked(key, attributed);
         }
     }
-    return slot->value;
+    return slot;
 }
 
 std::shared_ptr<const LayerResults>
-CompiledCache::getOrExecute(const std::string& key, const std::string& spec,
-                            const Execute& execute, Stats* attributed)
+CompiledCache::getOrRun(const std::string& key, const std::string& spec,
+                        const Compile& compile, const Execute& execute,
+                        Stats* attributed,
+                        const std::function<void()>& on_miss)
 {
-    std::shared_ptr<Slot> slot;
+    // 1. The memory record. One whose execute is still in flight is
+    //    waited for below instead of looked up on disk.
+    Disk disk;
+    bool in_flight = false;
+    {
+        const std::lock_guard<std::mutex> lock(mutex_);
+        disk = requestDiskLocked();
+        const auto it = slots_.find(key);
+        if (it != slots_.end() && it->second->accounted) {
+            Slot& slot = *it->second;
+            const auto record = slot.records.find(spec);
+            if (record != slot.records.end()) {
+                if (record->second->results) {
+                    countLocked(&Stats::hits, attributed);
+                    countLocked(&Stats::result_hits, attributed);
+                    touchLocked(key, slot);
+                    return record->second->results;
+                }
+                in_flight = true;
+            }
+        }
+    }
+
+    // 2. The disk record: no artifact, no execute. A rejected one is
+    //    re-executed and overwritten below; only an I/O error feeds
+    //    the breaker.
+    if (disk && !in_flight) {
+        ArtifactStore::LoadResult loaded = disk->loadRecord(key, spec);
+        if (loaded.results || loaded.rejected) {
+            const std::lock_guard<std::mutex> lock(mutex_);
+            if (loaded.results) {
+                countLocked(&Stats::result_disk_hits, attributed);
+                recordDiskOutcomeLocked(true, attributed);
+                return std::move(loaded.results);
+            }
+            if (loaded.io_error)
+                recordDiskOutcomeLocked(false, attributed);
+            else
+                countLocked(&Stats::disk_rejects, attributed);
+        }
+    }
+
+    // 3. The artifact, then its slot's record for `spec`: the first
+    //    caller executes while concurrent callers block on the record
+    //    mutex, wake to a filled record, and count a result hit.
+    const std::shared_ptr<Slot> slot =
+        fillSlot(key, compile, attributed, on_miss, disk);
     std::shared_ptr<Record> record;
     {
         const std::lock_guard<std::mutex> lock(mutex_);
         const auto it = slots_.find(key);
-        if (it != slots_.end() && it->second->accounted) {
-            slot = it->second;
+        if (it != slots_.end() && it->second == slot) {
             auto& entry = slot->records[spec];
             if (!entry)
                 entry = std::make_shared<Record>();
             record = entry;
         }
     }
-    if (!record)
-        return std::make_shared<const LayerResults>(execute());
-
-    // Like the slot mutex for a compile: the first caller executes
-    // while concurrent callers for the same (key, spec) block here,
-    // wake to a filled record, and count a result hit.
-    const std::lock_guard<std::mutex> record_lock(record->mutex);
-    if (record->results) {
+    std::unique_lock<std::mutex> record_lock;
+    if (record) {
+        record_lock = std::unique_lock<std::mutex>(record->mutex);
         const std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.result_hits;
-        if (attributed)
-            ++attributed->result_hits;
-        return record->results;
+        if (record->results) {
+            countLocked(&Stats::result_hits, attributed);
+            return record->results;
+        }
     }
-    record->results = std::make_shared<const LayerResults>(execute());
+    auto results =
+        std::make_shared<const LayerResults>(execute(*slot->value));
+    const bool persisted = disk && disk->storeRecord(key, spec, *results);
 
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (persisted)
+        countLocked(&Stats::result_disk_writes, attributed);
+    if (disk)
+        recordDiskOutcomeLocked(persisted, attributed);
+    if (!record)
+        return results;
+    record->results = results;
     // The slot may have been evicted or cleared while the layer
     // executed; only a record of a slot still in the table joins the
     // byte accounting.
-    const std::lock_guard<std::mutex> lock(mutex_);
     const auto it = slots_.find(key);
     if (it != slots_.end() && it->second == slot) {
-        const std::uint64_t bytes =
-            recordBytes(spec, record->results->size());
+        const std::uint64_t bytes = recordBytes(spec, results->size());
         slot->record_bytes += bytes;
         stats_.bytes += bytes;
-        const std::uint64_t evicted_before = stats_.evictions;
-        enforceBudgetLocked(key);
-        if (attributed)
-            attributed->evictions += stats_.evictions - evicted_before;
+        enforceBudgetLocked(key, attributed);
     }
-    return record->results;
+    return results;
 }
 
 std::uint64_t
@@ -320,15 +358,14 @@ CompiledCache::setByteBudget(std::uint64_t budget)
 {
     const std::lock_guard<std::mutex> lock(mutex_);
     budget_ = budget;
-    enforceBudgetLocked("");
+    enforceBudgetLocked("", nullptr);
 }
 
 void
 CompiledCache::setDiskDir(const std::string& dir)
 {
-    std::shared_ptr<const ArtifactStore> store =
-        dir.empty() ? nullptr
-                    : std::make_shared<const ArtifactStore>(dir);
+    Disk store = dir.empty() ? nullptr
+                             : std::make_shared<const ArtifactStore>(dir);
     // Reclaim dead writers' leaked temp files while attaching; the
     // directory walk stays outside the lock so it cannot stall
     // concurrent getOrCompile traffic.

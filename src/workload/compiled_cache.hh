@@ -23,15 +23,18 @@
  * cooldown — the degradation ladder is disk, then memory-only, then
  * recompile, never an error surfaced to the caller.
  *
- * Result records: the slot of each resident artifact also memoizes the
- * layer's execution results (getOrExecute()), one record per design
+ * Result records: a layer's execution results are memoized per design
  * that executed it, keyed by the design's canonical spec string
  * (AccelSpec::str()) and holding the per-input RunResults. A result is
  * a pure function of (artifact key, design spec, input), so a repeated
- * request replays its layers instead of executing them. Records live
- * and die with their slot — eviction, clear(), finished-network
- * demotion and a failed insert all take them along — and never reach
- * the disk level.
+ * request replays its layers instead of executing them. getOrRun()
+ * looks a layer up record first: the record in the artifact's memory
+ * slot, then the record file on the disk level (which needs no
+ * artifact at all), and only then the artifact, which it executes. A
+ * memory record lives and dies with its slot — eviction, clear(),
+ * finished-network demotion and a failed insert all take it along; a
+ * disk record is written beside the artifacts and never promoted into
+ * memory.
  *
  * Keys name the workload-side identity of an artifact:
  * (network, layer index, ft-variant, format family, timesteps,
@@ -45,7 +48,7 @@
  * Thread safety: every member is callable from any number of worker
  * threads. Exactly one caller compiles a given key (per-slot mutex);
  * the rest block on that slot and then share the artifact, so hit/miss
- * accounting is thread-count invariant; result records are filled
+ * accounting is thread-count invariant; memory records are filled
  * once-only the same way (per-record mutex), so result_hits is too.
  * All byte accounting funnels through one insert/erase pair plus the
  * record fill, so `bytes` always equals the sum of the
@@ -102,10 +105,16 @@ class CompiledCache
         std::uint64_t disk_hits = 0;
         /** Artifacts persisted to the on-disk level. */
         std::uint64_t disk_writes = 0;
-        /** Corrupt / stale / mismatched disk files rejected. */
+        /** Corrupt / stale / mismatched disk files (artifacts and
+         *  records) rejected. */
         std::uint64_t disk_rejects = 0;
-        /** Layer results served from a result record, not executed. */
+        /** Layer results served from a memory record, not executed. */
         std::uint64_t result_hits = 0;
+        /** Layer results served from a disk record: no artifact
+         *  loaded, nothing executed. */
+        std::uint64_t result_disk_hits = 0;
+        /** Result records persisted to the on-disk level. */
+        std::uint64_t result_disk_writes = 0;
         /** Entries evicted to honor the byte budget. */
         std::uint64_t evictions = 0;
         /** Times the disk circuit breaker tripped to memory-only. */
@@ -126,7 +135,7 @@ class CompiledCache
     };
 
     using Compile = std::function<CompiledLayer()>;
-    using Execute = std::function<LayerResults()>;
+    using Execute = std::function<LayerResults(const CompiledLayer&)>;
 
     CompiledCache() = default;
     ~CompiledCache();
@@ -163,21 +172,30 @@ class CompiledCache
 
     /**
      * The results of executing `key`'s artifact on the design whose
-     * canonical spec string is `spec`: the result record in that
-     * artifact's slot (a result hit), else execute()'s output, which
-     * becomes the slot's record for `spec` while the slot stays
-     * resident. A key with no resident artifact — never looked up,
-     * evicted, or refused by a failed insert — just executes and keeps
-     * nothing. Concurrent requests for one (key, spec) block until the
-     * one execute finishes and then share its record.
+     * canonical spec string is `spec`, from the first of:
+     *  1. the memory record in the artifact's resident slot — a result
+     *     hit, which is also a hit on the artifact and promotes it in
+     *     the LRU, exactly as getOrCompile(key, ...) would;
+     *  2. the record file on the disk level — a result disk hit, which
+     *     loads no artifact and keeps nothing in memory;
+     *  3. execute() on the artifact getOrCompile(key, compile,
+     *     attributed, on_miss) returns. The results become the slot's
+     *     record for `spec` while the slot stays resident, and are
+     *     persisted on the disk level (result_disk_writes).
+     * Concurrent requests for one (key, spec) execute once: the rest
+     * block on the record until it is filled, then share it. A slot
+     * that is not retained (a failed insert) executes and keeps
+     * nothing in memory.
      *
-     * Call it right after getOrCompile(key, ...): it touches no
-     * artifact counter and no LRU position. `attributed` works as in
-     * getOrCompile (result_hits, plus evictions the record caused).
+     * One request captures the disk level once: a read fault that
+     * trips the breaker mid-call still lets this call's stores probe
+     * it, as in getOrCompile. `attributed` works as in getOrCompile.
      */
     std::shared_ptr<const LayerResults>
-    getOrExecute(const std::string& key, const std::string& spec,
-                 const Execute& execute, Stats* attributed = nullptr);
+    getOrRun(const std::string& key, const std::string& spec,
+             const Compile& compile, const Execute& execute,
+             Stats* attributed = nullptr,
+             const std::function<void()>& on_miss = {});
 
     /** Bytes a result record of `inputs` results for `spec` adds to
      *  Stats::bytes and the byte budget. */
@@ -228,7 +246,8 @@ class CompiledCache
 
   private:
     /** One design's results on a slot's artifact; its mutex
-     *  serializes the execute that fills it. */
+     *  serializes the execute that fills it. `results` is written
+     *  under both that mutex and mutex_, so either one reads it. */
     struct Record
     {
         std::mutex mutex;
@@ -251,6 +270,16 @@ class CompiledCache
         std::uint64_t record_bytes = 0;
     };
 
+    using Disk = std::shared_ptr<const ArtifactStore>;
+
+    /** getOrCompile() over the disk level `disk`, returning the filled
+     *  slot (retained or not) rather than its artifact. */
+    std::shared_ptr<Slot> fillSlot(const std::string& key,
+                                   const Compile& compile,
+                                   Stats* attributed,
+                                   const std::function<void()>& on_miss,
+                                   const Disk& disk);
+
     /** Register a filled slot in stats/LRU. Caller holds mutex_. */
     void insertAccountedLocked(const std::string& key, Slot& slot);
 
@@ -260,13 +289,19 @@ class CompiledCache
     /** Mark use: move to the front of the live LRU. Holds mutex_. */
     void touchLocked(const std::string& key, Slot& slot);
 
-    /** Evict until the budget holds, sparing `protect`. Holds mutex_. */
-    void enforceBudgetLocked(const std::string& protect);
+    /** Add one to `counter` in the global stats and in `attributed`.
+     *  Caller holds mutex_. */
+    void countLocked(std::uint64_t Stats::*counter, Stats* attributed);
 
-    /** True when this request may touch the disk level (breaker
-     *  closed, or the cooldown elapsed and this is the half-open
-     *  probe). Caller holds mutex_. */
-    bool diskAllowedLocked() const;
+    /** Evict until the budget holds, sparing `protect`; evictions are
+     *  attributed like any counter. Holds mutex_. */
+    void enforceBudgetLocked(const std::string& protect,
+                             Stats* attributed);
+
+    /** The disk level this request may use: null when detached, or
+     *  while the breaker holds it out of service (open, and this is
+     *  not the half-open probe past the cooldown). Holds mutex_. */
+    Disk requestDiskLocked() const;
 
     /** Feed one disk I/O outcome to the breaker. Holds mutex_. */
     void recordDiskOutcomeLocked(bool ok, Stats* attributed);
@@ -279,7 +314,7 @@ class CompiledCache
      *  from the back, before anything in live_lru_. */
     std::list<std::string> finished_lru_;
     std::uint64_t budget_ = 0;
-    std::shared_ptr<const ArtifactStore> disk_;
+    Disk disk_;
     Stats stats_;
 
     // Disk circuit breaker (see setDiskBreaker).

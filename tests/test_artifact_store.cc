@@ -1,10 +1,16 @@
 /**
  * @file
- * Tests for the on-disk compiled-artifact level: round-trip equality of
- * every format family (including rank tables over k % 64 != 0 masks),
- * header validation (magic / version / checksum / key), corruption
- * fallback, and golden-identity of engine runs with the cache cold,
- * warm in memory, and warm on disk.
+ * Tests for the on-disk level: round-trip equality of every artifact
+ * format family (including rank tables over k % 64 != 0 masks) and of
+ * result records, header validation (magic / versions / checksum /
+ * key / spec), corruption fallback for both file kinds, and
+ * golden-identity of engine runs with the cache cold, warm in memory,
+ * and warm on disk.
+ *
+ * A warm run reads a layer's result record before its artifact, so
+ * the tests of artifact files remove the records (removeRecords())
+ * before the run that must read the artifacts; each has a record twin
+ * that damages the record instead.
  */
 
 #include <gtest/gtest.h>
@@ -43,6 +49,28 @@ tempCacheDir(const std::string& name)
     fs::remove_all(dir);
     fs::create_directories(dir);
     return dir.string();
+}
+
+/** Remove every result record under `dir`, so the next run reads
+ *  (and executes) the artifacts. */
+void
+removeRecords(const std::string& dir)
+{
+    for (const auto& entry : fs::directory_iterator(dir))
+        if (entry.path().extension() == ArtifactStore::kRecordSuffix)
+            fs::remove(entry.path());
+}
+
+/** The single file with `suffix` under `dir`. */
+fs::path
+onlyFile(const std::string& dir, const char* suffix)
+{
+    std::vector<fs::path> found;
+    for (const auto& entry : fs::directory_iterator(dir))
+        if (entry.path().extension() == suffix)
+            found.push_back(entry.path());
+    EXPECT_EQ(found.size(), 1u) << suffix;
+    return found.empty() ? fs::path() : found.front();
 }
 
 /**
@@ -315,9 +343,149 @@ TEST(ArtifactStore, UnreadableFileIsAnIoErrorRejection)
     EXPECT_TRUE(result.io_error);
 }
 
+/** `design`'s batch-2 results on the odd layer, as executed. */
+LayerResults
+executedResults(const std::string& design, std::uint64_t seed)
+{
+    const auto& registry = AcceleratorRegistry::instance();
+    const bool ft = registry.entry(parseAccelSpec(design).key).ft_workload;
+    const LayerData layer = generateLayer(oddLayer(), seed, ft, 2);
+    const auto instance = registry.make(design);
+    LayerResults results;
+    instance->executeBatch(instance->prepare(layer), 1, &results);
+    return results;
+}
+
+TEST(ResultRecords, RoundTripEveryFieldOfEveryInput)
+{
+    const ArtifactStore store(tempCacheDir("records"));
+    for (const std::string design :
+         {"loas", "loas-ft", "sparten?fused=1", "gospa", "gamma",
+          "systolic"}) {
+        SCOPED_TRACE(design);
+        const LayerResults results = executedResults(design, 89);
+        ASSERT_EQ(results.size(), 2u);
+        const std::string key = compiledLayerKey(
+            "net", 0, false, "family-of-" + design, 4, 89, 2);
+        ASSERT_TRUE(store.storeRecord(key, design, results));
+        const ArtifactStore::LoadResult loaded =
+            store.loadRecord(key, design);
+        ASSERT_NE(loaded.results, nullptr);
+        EXPECT_EQ(loaded.layer, nullptr);
+        EXPECT_FALSE(loaded.rejected);
+        ASSERT_EQ(loaded.results->size(), results.size());
+        for (std::size_t b = 0; b < results.size(); ++b) {
+            const RunResult& want = results[b];
+            const RunResult& got = (*loaded.results)[b];
+            // The JSON form covers every reported field; the rest are
+            // checked directly.
+            EXPECT_EQ(json::toJson(got), json::toJson(want));
+            EXPECT_EQ(got.accel, want.accel);
+            EXPECT_EQ(got.workload, want.workload);
+            EXPECT_EQ(got.traffic.dram_read, want.traffic.dram_read);
+            EXPECT_EQ(got.traffic.dram_write, want.traffic.dram_write);
+            EXPECT_EQ(got.traffic.sram_read, want.traffic.sram_read);
+            EXPECT_EQ(got.traffic.sram_write, want.traffic.sram_write);
+            EXPECT_EQ(got.ops.total(), want.ops.total());
+            EXPECT_EQ(got.static_scale, want.static_scale);
+        }
+    }
+    EXPECT_EQ(store.stats().records, 6u);
+    EXPECT_GT(store.stats().record_bytes, 0u);
+    EXPECT_EQ(store.stats().files, 0u); // records are not artifacts
+}
+
+TEST(ResultRecords, HeaderLayoutIsTheDocumentedOne)
+{
+    // docs/FORMATS.md and the CI cache-persistence job rely on these
+    // offsets: magic, then the format and result versions.
+    const ArtifactStore store(tempCacheDir("record-header"));
+    const std::string key = compiledLayerKey("net", 0, false, "loas", 4, 7);
+    ASSERT_TRUE(store.storeRecord(key, "loas", executedResults("loas", 7)));
+    std::ifstream file(store.recordPath(key, "loas"), std::ios::binary);
+    char magic[8] = {};
+    std::uint32_t versions[2] = {};
+    file.read(magic, sizeof(magic));
+    file.read(reinterpret_cast<char*>(versions), sizeof(versions));
+    EXPECT_EQ(std::string(magic, sizeof(magic)),
+              std::string("LOASRES\0", 8));
+    EXPECT_EQ(versions[0], ArtifactStore::kFormatVersion);
+    EXPECT_EQ(versions[1], ArtifactStore::kResultVersion);
+    EXPECT_EQ(fs::path(store.recordPath(key, "loas")).extension(),
+              ArtifactStore::kRecordSuffix);
+}
+
+TEST(ResultRecords, EveryAnomalyRejectsAsData)
+{
+    const ArtifactStore store(tempCacheDir("record-rejects"));
+    const LayerResults results = executedResults("loas", 97);
+    const std::string key =
+        compiledLayerKey("net", 0, false, "loas", 4, 97);
+    const std::string path = store.recordPath(key, "loas");
+    // magic, format version, result version, checksum, payload size
+    constexpr std::size_t kRecordHeader = 8 + 4 + 4 + 8 + 8;
+    const auto expectDataRejection = [&](const char* what) {
+        SCOPED_TRACE(what);
+        const ArtifactStore::LoadResult loaded =
+            store.loadRecord(key, "loas");
+        EXPECT_EQ(loaded.results, nullptr);
+        EXPECT_TRUE(loaded.rejected);
+        EXPECT_FALSE(loaded.io_error);
+        ASSERT_TRUE(store.storeRecord(key, "loas", results)); // restore
+        EXPECT_NE(store.loadRecord(key, "loas").results, nullptr);
+    };
+    ASSERT_TRUE(store.storeRecord(key, "loas", results));
+
+    // A never-written spec is a plain miss, not a rejection.
+    const ArtifactStore::LoadResult missing =
+        store.loadRecord(key, "loas?pes=16");
+    EXPECT_EQ(missing.results, nullptr);
+    EXPECT_FALSE(missing.rejected);
+
+    const auto stamp = [&](std::size_t offset, std::uint32_t value) {
+        std::fstream file(path, std::ios::in | std::ios::out |
+                                    std::ios::binary);
+        file.seekp(static_cast<std::streamoff>(offset));
+        file.write(reinterpret_cast<const char*>(&value), sizeof(value));
+    };
+    stamp(8, ArtifactStore::kFormatVersion - 1);
+    expectDataRejection("stale format version");
+    stamp(12, ArtifactStore::kResultVersion + 1);
+    expectDataRejection("other result version");
+    flipBit(path, kRecordHeader + (fs::file_size(path) - kRecordHeader) / 2,
+            3);
+    expectDataRejection("flipped payload bit");
+    fs::resize_file(path, fs::file_size(path) - 5);
+    expectDataRejection("truncated");
+    fs::resize_file(path, 10);
+    expectDataRejection("shorter than the header");
+
+    // A file stored for another (key, spec) but found under this
+    // name — a filename-hash collision — is rejected, never served.
+    const std::string other =
+        compiledLayerKey("net", 1, false, "loas", 4, 97);
+    ASSERT_TRUE(store.storeRecord(other, "loas", results));
+    fs::copy_file(store.recordPath(other, "loas"), path,
+                  fs::copy_options::overwrite_existing);
+    expectDataRejection("another key");
+    ASSERT_TRUE(store.storeRecord(key, "loas?pes=16", results));
+    fs::copy_file(store.recordPath(key, "loas?pes=16"), path,
+                  fs::copy_options::overwrite_existing);
+    expectDataRejection("another spec");
+
+    // And an artifact file is never read as a record.
+    const LayerData layer = generateLayer(oddLayer(), 97);
+    ASSERT_TRUE(store.store(
+        key, AcceleratorRegistry::instance().make("loas")->prepare(layer)));
+    fs::copy_file(store.path(key), path,
+                  fs::copy_options::overwrite_existing);
+    expectDataRejection("an artifact");
+}
+
 /** Run `request` after `damage` breaks its one stored artifact: the
  *  file is rejected, recompiled and overwritten, and the next run
- *  loads it cleanly again. */
+ *  loads it cleanly again. The records go first each time, or the
+ *  runs would replay them without reading the artifact. */
 void
 expectRecompileAndOverwrite(const SimRequest& request,
                             const std::function<void(const fs::path&)>&
@@ -325,48 +493,116 @@ expectRecompileAndOverwrite(const SimRequest& request,
 {
     const SimReport cold = SimEngine().run(request);
     ASSERT_EQ(cold.compile_cache.disk_writes, 1u);
-    const fs::path file =
-        fs::directory_iterator(request.cache_dir)->path();
-    damage(file);
+    damage(onlyFile(request.cache_dir, ArtifactStore::kFileSuffix));
 
+    removeRecords(request.cache_dir);
     const SimReport healed = SimEngine().run(request);
     EXPECT_EQ(healed.compile_cache.disk_rejects, 1u);
     EXPECT_EQ(healed.compile_cache.misses, 1u);
     EXPECT_EQ(healed.compile_cache.disk_writes, 1u);
     EXPECT_EQ(json::toJson(healed), json::toJson(cold));
 
+    removeRecords(request.cache_dir);
     const SimReport warm = SimEngine().run(request);
     EXPECT_EQ(warm.compile_cache.disk_hits, 1u);
     EXPECT_EQ(warm.compile_cache.misses, 0u);
     EXPECT_EQ(warm.synth_layers, 0u);
 }
 
-TEST(DiskCache, TruncatedFileIsRecompiledAndOverwritten)
+/** Run `request` after `damage` breaks its one stored record: the
+ *  record is rejected, re-executed from the stored artifact — no
+ *  compile, no synthesis — and overwritten, and the next run replays
+ *  it cleanly again. */
+void
+expectReexecuteAndOverwrite(const SimRequest& request,
+                            const std::function<void(const fs::path&)>&
+                                damage)
+{
+    const SimReport cold = SimEngine().run(request);
+    ASSERT_EQ(cold.compile_cache.result_disk_writes, 1u);
+    damage(onlyFile(request.cache_dir, ArtifactStore::kRecordSuffix));
+
+    // A hair-trigger breaker: bad data must not count as an I/O error.
+    CompiledCache cache;
+    cache.setDiskBreaker(1, 1e6);
+    cache.setDiskDir(request.cache_dir);
+    SimRequest healing = request;
+    healing.compiled_cache = &cache;
+    const SimReport healed = SimEngine().run(healing);
+    EXPECT_EQ(healed.compile_cache.disk_rejects, 1u);
+    EXPECT_EQ(healed.compile_cache.result_disk_hits, 0u);
+    EXPECT_EQ(healed.compile_cache.disk_hits, 1u);
+    EXPECT_EQ(healed.compile_cache.misses, 0u);
+    EXPECT_EQ(healed.synth_layers, 0u);
+    EXPECT_EQ(healed.compile_cache.result_disk_writes, 1u);
+    EXPECT_EQ(healed.compile_cache.disk_trips, 0u);
+    EXPECT_EQ(json::toJson(healed), json::toJson(cold));
+
+    const SimReport warm = SimEngine().run(request);
+    EXPECT_EQ(warm.compile_cache.result_disk_hits, 1u);
+    EXPECT_EQ(warm.compile_cache.disk_hits, 0u);
+    EXPECT_EQ(warm.compile_cache.disk_rejects, 0u);
+    EXPECT_EQ(json::toJson(warm), json::toJson(cold));
+}
+
+/** The one-layer sparten request the heal tests damage. */
+SimRequest
+healRequest(std::uint64_t seed, const std::string& name)
 {
     SimRequest request;
     request.accels = {"sparten"};
     request.networks = {NetworkSpec{"layer", {oddLayer()}}};
-    request.seed = 67;
-    request.cache_dir = tempCacheDir("truncate-heal");
-    expectRecompileAndOverwrite(request, [](const fs::path& file) {
-        fs::resize_file(file, fs::file_size(file) - 3);
-    });
+    request.seed = seed;
+    request.cache_dir = tempCacheDir(name);
+    return request;
+}
+
+/** Overwrite the u32 at `offset` of the file at `path`. */
+void
+stampU32(const fs::path& path, std::size_t offset, std::uint32_t value)
+{
+    std::fstream stream(path,
+                        std::ios::in | std::ios::out | std::ios::binary);
+    stream.seekp(static_cast<std::streamoff>(offset));
+    stream.write(reinterpret_cast<const char*>(&value), sizeof(value));
+}
+
+const auto kTruncate = [](const fs::path& file) {
+    fs::resize_file(file, fs::file_size(file) - 3);
+};
+
+TEST(DiskCache, TruncatedFileIsRecompiledAndOverwritten)
+{
+    expectRecompileAndOverwrite(healRequest(67, "truncate-heal"),
+                                kTruncate);
+}
+
+TEST(DiskCache, TruncatedRecordIsReexecutedAndOverwritten)
+{
+    expectReexecuteAndOverwrite(healRequest(67, "truncate-record"),
+                                kTruncate);
 }
 
 TEST(DiskCache, VersionFourFileIsRecompiledAndOverwritten)
 {
-    SimRequest request;
-    request.accels = {"sparten"};
-    request.networks = {NetworkSpec{"layer", {oddLayer()}}};
-    request.seed = 71;
-    request.cache_dir = tempCacheDir("v4-heal");
-    expectRecompileAndOverwrite(request, [](const fs::path& file) {
-        std::fstream stream(file, std::ios::in | std::ios::out |
-                                      std::ios::binary);
-        const std::uint32_t v4 = 4;
-        stream.seekp(8);
-        stream.write(reinterpret_cast<const char*>(&v4), sizeof(v4));
-    });
+    expectRecompileAndOverwrite(
+        healRequest(71, "v4-heal"),
+        [](const fs::path& file) { stampU32(file, 8, 4); });
+}
+
+TEST(DiskCache, StaleRecordVersionsAreReexecutedAndOverwritten)
+{
+    // A record stamped by an older artifact format, or by an older
+    // execute model (result version), is stale data: rejected and
+    // rewritten, never served.
+    expectReexecuteAndOverwrite(
+        healRequest(71, "v4-record"),
+        [](const fs::path& file) { stampU32(file, 8, 4); });
+    expectReexecuteAndOverwrite(
+        healRequest(71, "stale-result-record"),
+        [](const fs::path& file) {
+            stampU32(file, 12, ArtifactStore::kResultVersion - 1);
+        });
 }
 
 TEST(DiskCache, ColdWarmMemoryAndWarmDiskRunsAreByteIdentical)
@@ -389,8 +625,25 @@ TEST(DiskCache, ColdWarmMemoryAndWarmDiskRunsAreByteIdentical)
     EXPECT_EQ(cold_disk.compile_cache.disk_hits, 0u);
     EXPECT_GT(cold_disk.compile_cache.disk_writes, 0u);
 
-    // Warm-disk: a fresh private cache (a "new process") loads every
-    // artifact from disk and compiles nothing.
+    EXPECT_EQ(cold_disk.compile_cache.result_disk_writes,
+              cold_disk.cells.size()); // one layer per cell
+
+    // Warm records: a fresh private cache (a "new process") replays
+    // every cell's layer from its disk record — no artifact loaded,
+    // nothing compiled or executed.
+    const SweepReport warm_records = SweepEngine().run(request);
+    EXPECT_EQ(toCsv(cold), toCsv(warm_records));
+    EXPECT_EQ(json::toJson(cold), json::toJson(warm_records));
+    EXPECT_EQ(warm_records.compile_cache.result_disk_hits,
+              cold_disk.compile_cache.result_disk_writes);
+    EXPECT_EQ(warm_records.compile_cache.disk_hits, 0u);
+    EXPECT_EQ(warm_records.compile_cache.misses, 0u);
+    EXPECT_EQ(warm_records.compile_cache.hits, 0u);
+    EXPECT_EQ(warm_records.compile_cache.disk_rejects, 0u);
+
+    // Warm-disk: without the records, a fresh private cache loads
+    // every artifact from disk and compiles nothing.
+    removeRecords(dir);
     const SweepReport warm_disk = SweepEngine().run(request);
     EXPECT_EQ(toCsv(cold), toCsv(warm_disk));
     EXPECT_EQ(json::toJson(cold), json::toJson(warm_disk));
@@ -423,15 +676,17 @@ TEST(DiskCache, CorruptedEntryFallsBackToRecompile)
     const SimReport cold = SimEngine().run(request);
     EXPECT_EQ(cold.compile_cache.disk_writes, 1u);
 
-    // Corrupt the single stored artifact (bit-flip, never a no-op).
-    for (const auto& entry : fs::directory_iterator(dir)) {
-        std::fstream file(entry.path(), std::ios::in | std::ios::out |
-                                            std::ios::binary);
+    // Corrupt the single stored artifact (bit-flip, never a no-op),
+    // and drop the record that would spare the run from reading it.
+    {
+        std::fstream file(onlyFile(dir, ArtifactStore::kFileSuffix),
+                          std::ios::in | std::ios::out | std::ios::binary);
         file.seekg(64);
         const char flipped = static_cast<char>(file.get() ^ 0xff);
         file.seekp(64);
         file.put(flipped);
     }
+    removeRecords(dir);
 
     const SimReport warm = SimEngine().run(request);
     EXPECT_EQ(warm.compile_cache.disk_hits, 0u);
@@ -443,9 +698,80 @@ TEST(DiskCache, CorruptedEntryFallsBackToRecompile)
               json::toJson(warm.runs[0].result));
 
     // ...so a third run is a clean disk hit again.
+    removeRecords(dir);
     const SimReport healed = SimEngine().run(request);
     EXPECT_EQ(healed.compile_cache.disk_hits, 1u);
     EXPECT_EQ(healed.compile_cache.misses, 0u);
+}
+
+TEST(DiskCache, CorruptedRecordFallsBackToReexecute)
+{
+    SimRequest request = healRequest(41, "record-fallback");
+    request.accels = {"loas"};
+    expectReexecuteAndOverwrite(request, [](const fs::path& file) {
+        flipBit(file.string(), fs::file_size(file) / 2, 0);
+    });
+}
+
+TEST(DiskCache, BatchedWarmDiskRunReplaysEveryInput)
+{
+    SimRequest request;
+    request.accels = {"loas", "sparten", "gamma"};
+    request.networks = {NetworkSpec{"layers", {oddLayer(), oddLayer()}}};
+    request.seed = 79;
+    request.batch = 3;
+    request.threads = 2;
+    const SimReport cold = SimEngine().run(request);
+    ASSERT_EQ(cold.runs[0].per_input.size(), 3u);
+
+    request.cache_dir = tempCacheDir("batch-records");
+    const SimReport cold_disk = SimEngine().run(request);
+    EXPECT_EQ(cold_disk.compile_cache.result_disk_writes, 6u);
+    EXPECT_EQ(json::toJson(cold_disk), json::toJson(cold));
+
+    const SimReport warm = SimEngine().run(request);
+    EXPECT_EQ(warm.compile_cache.result_disk_hits, 6u);
+    EXPECT_EQ(warm.compile_cache.disk_hits, 0u);
+    EXPECT_EQ(warm.compile_cache.misses, 0u);
+    EXPECT_EQ(warm.synth_layers, 0u);
+    EXPECT_EQ(json::toJson(warm), json::toJson(cold));
+    ASSERT_EQ(warm.runs.size(), cold.runs.size());
+    for (std::size_t i = 0; i < cold.runs.size(); ++i) {
+        SCOPED_TRACE(cold.runs[i].accel_spec);
+        ASSERT_EQ(warm.runs[i].per_input.size(), 3u);
+        for (std::size_t b = 0; b < 3; ++b)
+            EXPECT_EQ(json::toJson(warm.runs[i].per_input[b]),
+                      json::toJson(cold.runs[i].per_input[b]));
+    }
+}
+
+TEST(DiskCache, ClearedDirectoryReExecutesEverything)
+{
+    SimRequest request;
+    request.accels = {"loas", "gospa"};
+    request.networks = {NetworkSpec{"layers", {oddLayer(), oddLayer()}}};
+    request.seed = 83;
+    request.cache_dir = tempCacheDir("clear-records");
+    const SimReport cold = SimEngine().run(request);
+    EXPECT_EQ(cold.compile_cache.result_disk_writes, 4u);
+
+    // What `loas_cli cache clear` does: every artifact and record goes,
+    // so nothing old can be served afterwards.
+    const ArtifactStore store(request.cache_dir);
+    EXPECT_EQ(store.stats().files, 4u);
+    EXPECT_EQ(store.stats().records, 4u);
+    EXPECT_EQ(store.clear(), 8u);
+    EXPECT_EQ(store.stats().records, 0u);
+
+    const SimReport after = SimEngine().run(request);
+    EXPECT_EQ(after.compile_cache.result_disk_hits, 0u);
+    EXPECT_EQ(after.compile_cache.result_hits, 0u);
+    EXPECT_EQ(after.compile_cache.disk_hits, 0u);
+    EXPECT_EQ(after.compile_cache.misses, 4u);
+    EXPECT_EQ(after.compile_cache.result_disk_writes, 4u);
+    EXPECT_EQ(after.synth_layers, 2u);
+    EXPECT_GT(after.sim_ms, 0.0); // every layer executed again
+    EXPECT_EQ(json::toJson(after), json::toJson(cold));
 }
 
 /** Tests below arm the process-global fault registry; disarm after. */
@@ -525,7 +851,9 @@ TEST(FaultedStore, InjectedReadFailureFeedsTheBreaker)
 
     // The only disk failure is the injected read, so it alone trips a
     // threshold-1 breaker; the recompile's successful store then
-    // closes it again, and the report is unchanged.
+    // closes it again, and the report is unchanged. Without its record
+    // the run must read the artifact.
+    removeRecords(request.cache_dir);
     CompiledCache cache;
     cache.setDiskBreaker(1, 1e6);
     cache.setDiskDir(request.cache_dir);
@@ -541,6 +869,39 @@ TEST(FaultedStore, InjectedReadFailureFeedsTheBreaker)
     EXPECT_EQ(json::toJson(faulted), json::toJson(cold));
 }
 
+TEST(FaultedStore, InjectedRecordReadFailureFeedsTheBreaker)
+{
+    FaultGuard guard;
+    SimRequest request = healRequest(73, "record-read-breaker");
+    request.threads = 1;
+    const SimReport cold = SimEngine().run(request);
+    ASSERT_EQ(cold.compile_cache.result_disk_writes, 1u);
+
+    // A design sharing the artifact makes it resident, so the one
+    // disk read left for the `sparten` run is its record's.
+    CompiledCache cache;
+    cache.setDiskBreaker(1, 1e6);
+    cache.setDiskDir(request.cache_dir);
+    SimRequest fused = request;
+    fused.accels = {"sparten?fused=1"};
+    fused.compiled_cache = &cache;
+    ASSERT_EQ(SimEngine().run(fused).compile_cache.disk_hits, 1u);
+
+    request.compiled_cache = &cache;
+    fault::configure("disk.read=1");
+    const SimReport faulted = SimEngine().run(request);
+    EXPECT_EQ(fault::injectedCount(fault::Site::DiskRead), 1u);
+    EXPECT_EQ(faulted.compile_cache.disk_trips, 1u);
+    EXPECT_EQ(faulted.compile_cache.disk_rejects, 0u); // I/O, not data
+    EXPECT_EQ(faulted.compile_cache.result_disk_hits, 0u);
+    EXPECT_EQ(faulted.compile_cache.hits, 1u);
+    EXPECT_EQ(faulted.compile_cache.misses, 0u);
+    // The re-execute's record store closes the breaker again.
+    EXPECT_EQ(faulted.compile_cache.result_disk_writes, 1u);
+    EXPECT_EQ(cache.stats().disk_degraded, 0u);
+    EXPECT_EQ(json::toJson(faulted), json::toJson(cold));
+}
+
 TEST(StaleTemps, AreCountedSweptByAgeAndClearedUnconditionally)
 {
     const std::string dir = tempCacheDir("tmps");
@@ -549,48 +910,66 @@ TEST(StaleTemps, AreCountedSweptByAgeAndClearedUnconditionally)
     const auto compiler = AcceleratorRegistry::instance().make("loas");
     const std::string key =
         compiledLayerKey("net", 0, false, "loas", layer.spec.t, 59);
-    ASSERT_TRUE(store.store(key, compiler->prepare(layer)));
+    const CompiledLayer compiled = compiler->prepare(layer);
+    const LayerResults results = {compiler->execute(compiled)};
+    const auto store_both = [&] {
+        ASSERT_TRUE(store.store(key, compiled));
+        ASSERT_TRUE(store.storeRecord(key, "loas", results));
+    };
+    store_both();
 
     // Fabricate the orphans a writer killed between open and rename
-    // would leave behind.
-    const auto orphan = [&](const std::string& name) {
-        std::ofstream(fs::path(dir) /
-                      (name + ArtifactStore::kFileSuffix + ".tmp.1.2"))
-            << "torn";
+    // would leave behind, of artifacts and of records.
+    const auto orphan = [&](const std::string& name, const char* suffix) {
+        const fs::path path =
+            fs::path(dir) / (name + suffix + ".tmp.1.2");
+        std::ofstream(path) << "torn";
+        return path;
     };
-    orphan("dead-writer-a");
-    orphan("dead-writer-b");
+    orphan("dead-writer-a", ArtifactStore::kFileSuffix);
+    orphan("dead-writer-b", ArtifactStore::kFileSuffix);
+    orphan("dead-recorder-a", ArtifactStore::kRecordSuffix);
 
     ArtifactStore::DiskStats stats = store.stats();
-    EXPECT_EQ(stats.files, 1u); // temps never count as artifacts
-    EXPECT_EQ(stats.tmp_files, 2u);
+    EXPECT_EQ(stats.files, 1u); // temps never count as artifacts...
+    EXPECT_EQ(stats.records, 1u); // ...nor as records
+    EXPECT_GT(stats.record_bytes, 0u);
+    EXPECT_EQ(stats.tmp_files, 3u);
 
     // Young temps survive an age-bounded sweep (a live writer's temp
     // must never be reaped), age 0 sweeps them all.
     EXPECT_EQ(store.sweepStaleTemps(3600.0), 0u);
-    EXPECT_EQ(store.stats().tmp_files, 2u);
-    EXPECT_EQ(store.sweepStaleTemps(0.0), 2u);
+    EXPECT_EQ(store.stats().tmp_files, 3u);
+    EXPECT_EQ(store.sweepStaleTemps(0.0), 3u);
     EXPECT_EQ(store.stats().tmp_files, 0u);
+    EXPECT_EQ(store.stats().files, 1u);
+    EXPECT_EQ(store.stats().records, 1u);
 
-    // clear() removes temps regardless of age, artifacts included.
-    orphan("dead-writer-c");
-    EXPECT_EQ(store.clear(), 2u); // 1 artifact + 1 temp
+    // clear() removes temps regardless of age, artifacts and records
+    // included.
+    orphan("dead-writer-c", ArtifactStore::kFileSuffix);
+    orphan("dead-recorder-b", ArtifactStore::kRecordSuffix);
+    EXPECT_EQ(store.clear(), 4u); // 1 artifact + 1 record + 2 temps
     EXPECT_EQ(store.stats().files, 0u);
+    EXPECT_EQ(store.stats().records, 0u);
     EXPECT_EQ(store.stats().tmp_files, 0u);
 
-    // Attaching a cache to the directory sweeps stale temps and
-    // reports them in the cache's own counters.
-    orphan("dead-writer-d");
-    const fs::path orphan_path =
-        fs::path(dir) / (std::string("dead-writer-d") +
-                         ArtifactStore::kFileSuffix + ".tmp.1.2");
+    // Attaching a cache to the directory sweeps stale temps of both
+    // kinds and reports them in the cache's own counters; the files
+    // they would have become stay.
+    store_both();
     const fs::file_time_type old_stamp =
         fs::file_time_type::clock::now() - std::chrono::hours(2);
-    fs::last_write_time(orphan_path, old_stamp);
+    fs::last_write_time(orphan("dead-writer-d", ArtifactStore::kFileSuffix),
+                        old_stamp);
+    fs::last_write_time(
+        orphan("dead-recorder-c", ArtifactStore::kRecordSuffix), old_stamp);
     CompiledCache cache;
     cache.setDiskDir(dir);
-    EXPECT_EQ(cache.stats().disk_tmp_swept, 1u);
+    EXPECT_EQ(cache.stats().disk_tmp_swept, 2u);
     EXPECT_EQ(store.stats().tmp_files, 0u);
+    EXPECT_EQ(store.stats().files, 1u);
+    EXPECT_EQ(store.stats().records, 1u);
 }
 
 } // namespace

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
 #include <thread>
 #include <vector>
 
@@ -21,6 +22,7 @@
 #include "baselines/sparten.hh"
 #include "common/fault.hh"
 #include "core/loas_sim.hh"
+#include "workload/artifact_store.hh"
 #include "workload/compiled_cache.hh"
 #include "workload/generator.hh"
 #include "workload/networks.hh"
@@ -278,28 +280,43 @@ stubResults(std::size_t inputs, std::uint64_t cycles)
     return results;
 }
 
+/** An execute stub that counts its calls. */
+struct CountingExecute
+{
+    std::size_t inputs = 1;
+    std::uint64_t cycles = 1;
+    std::atomic<int> calls{0};
+
+    CompiledCache::Execute
+    fn()
+    {
+        return [this](const CompiledLayer&) {
+            ++calls;
+            return stubResults(inputs, cycles);
+        };
+    }
+};
+
 TEST(CompiledCacheRecords, OneRecordPerDesignInTheArtifactSlot)
 {
     CompiledCache cache;
-    cache.getOrCompile("a", [] { return stubLayer(100); });
-    int executes = 0;
-    const auto execute = [&] {
-        ++executes;
-        return stubResults(2, 7);
-    };
-    const auto first = cache.getOrExecute("a", "loas", execute);
-    const auto again = cache.getOrExecute("a", "loas", execute);
-    const auto other = cache.getOrExecute("a", "loas?pes=16", execute);
-    EXPECT_EQ(executes, 2); // one execute per design, then replayed
+    CountingExecute execute{2, 7};
+    const auto compile = [] { return stubLayer(100); };
+    const auto first = cache.getOrRun("a", "loas", compile, execute.fn());
+    const auto again = cache.getOrRun("a", "loas", compile, execute.fn());
+    const auto other =
+        cache.getOrRun("a", "loas?pes=16", compile, execute.fn());
+    EXPECT_EQ(execute.calls, 2); // one execute per design, then replayed
     EXPECT_EQ(first.get(), again.get());
     EXPECT_NE(first.get(), other.get());
     ASSERT_EQ(first->size(), 2u);
     EXPECT_EQ((*first)[1].total_cycles, 8u);
 
-    // Records touch no artifact counter; their bytes join the slot's.
+    // A record hit also counts as a hit on its artifact, and the third
+    // call hit the artifact too; records' bytes join the slot's.
     const CompiledCache::Stats stats = cache.stats();
     EXPECT_EQ(stats.result_hits, 1u);
-    EXPECT_EQ(stats.hits, 0u);
+    EXPECT_EQ(stats.hits, 2u);
     EXPECT_EQ(stats.misses, 1u);
     EXPECT_EQ(stats.entries, 1u);
     const std::uint64_t records =
@@ -308,48 +325,95 @@ TEST(CompiledCacheRecords, OneRecordPerDesignInTheArtifactSlot)
     EXPECT_EQ(stats.bytes, 100u + records);
 }
 
-TEST(CompiledCacheRecords, NoResidentArtifactExecutesAndKeepsNothing)
+TEST(CompiledCacheRecords, ExecuteRunsOnTheArtifactTheLookupReturns)
 {
     CompiledCache cache;
-    int executes = 0;
-    const auto execute = [&] {
-        ++executes;
-        return stubResults(1, 3);
-    };
-    cache.getOrExecute("never-compiled", "loas", execute);
-    cache.getOrExecute("never-compiled", "loas", execute);
-    EXPECT_EQ(executes, 2);
+    const auto artifact =
+        cache.getOrCompile("a", [] { return stubLayer(40); });
+    const CompiledLayer* executed = nullptr;
+    cache.getOrRun(
+        "a", "loas",
+        []() -> CompiledLayer {
+            ADD_FAILURE() << "a resident artifact was recompiled";
+            return stubLayer(40);
+        },
+        [&](const CompiledLayer& layer) {
+            executed = &layer;
+            return stubResults(1, 3);
+        });
+    EXPECT_EQ(executed, artifact.get());
+    EXPECT_EQ(cache.stats().hits, 1u);
     EXPECT_EQ(cache.stats().result_hits, 0u);
-    EXPECT_EQ(cache.stats().bytes, 0u);
+}
+
+/** `threads` concurrent getOrRun calls for one (key, spec); returns
+ *  their attributed counters. */
+std::vector<CompiledCache::Stats>
+raceOneRecord(CompiledCache& cache, CountingExecute& execute, int threads)
+{
+    std::vector<std::thread> pool;
+    std::vector<CompiledCache::Stats> attributed(threads);
+    pool.reserve(threads);
+    for (int i = 0; i < threads; ++i)
+        pool.emplace_back([&, i] {
+            cache.getOrRun(
+                "key", "loas", [] { return stubLayer(16); }, execute.fn(),
+                &attributed[i]);
+        });
+    for (auto& t : pool)
+        t.join();
+    return attributed;
 }
 
 TEST(CompiledCacheRecords, ConcurrentRequestsExecuteExactlyOnce)
 {
     CompiledCache cache;
-    cache.getOrCompile("key", [] { return stubLayer(16); });
-    std::atomic<int> executes{0};
-    const auto execute = [&] {
-        ++executes;
-        return stubResults(1, 5);
-    };
+    CountingExecute execute{1, 5};
     constexpr int kThreads = 8;
+    const auto attributed = raceOneRecord(cache, execute, kThreads);
 
-    std::vector<std::thread> pool;
-    std::vector<CompiledCache::Stats> attributed(kThreads);
-    pool.reserve(kThreads);
-    for (int i = 0; i < kThreads; ++i)
-        pool.emplace_back([&, i] {
-            cache.getOrExecute("key", "loas", execute, &attributed[i]);
-        });
-    for (auto& t : pool)
-        t.join();
+    // Whoever lost the race hit the artifact and then the record.
+    EXPECT_EQ(execute.calls.load(), 1);
+    std::uint64_t hits = 0, result_hits = 0;
+    for (const auto& stats : attributed) {
+        hits += stats.hits;
+        result_hits += stats.result_hits;
+    }
+    EXPECT_EQ(result_hits, static_cast<std::uint64_t>(kThreads - 1));
+    EXPECT_EQ(hits, result_hits);
+    EXPECT_EQ(cache.stats().result_hits, result_hits);
+    EXPECT_EQ(cache.stats().misses, 1u);
+}
 
-    EXPECT_EQ(executes.load(), 1);
-    std::uint64_t summed = 0;
-    for (const auto& stats : attributed)
-        summed += stats.result_hits;
-    EXPECT_EQ(summed, static_cast<std::uint64_t>(kThreads - 1));
-    EXPECT_EQ(cache.stats().result_hits, summed);
+TEST(CompiledCacheRecords, ConcurrentRequestsOverADiskLevelExecuteOnce)
+{
+    const std::filesystem::path dir =
+        std::filesystem::path(::testing::TempDir()) / "loas-record-race";
+    std::filesystem::remove_all(dir);
+    CompiledCache cache;
+    cache.setDiskDir(dir.string());
+    CountingExecute execute{2, 9};
+    constexpr int kThreads = 8;
+    const auto attributed = raceOneRecord(cache, execute, kThreads);
+
+    // Record-first lookup: a loser may replay the memory record or,
+    // if it read the disk after the winner wrote it, the disk record
+    // — never a second execute.
+    EXPECT_EQ(execute.calls.load(), 1);
+    std::uint64_t replayed = 0, written = 0;
+    for (const auto& stats : attributed) {
+        replayed += stats.result_hits + stats.result_disk_hits;
+        written += stats.result_disk_writes;
+    }
+    EXPECT_EQ(replayed, static_cast<std::uint64_t>(kThreads - 1));
+    EXPECT_EQ(written, 1u);
+    EXPECT_EQ(cache.stats().disk_rejects, 0u);
+    const ArtifactStore::LoadResult stored =
+        ArtifactStore(dir.string()).loadRecord("key", "loas");
+    ASSERT_NE(stored.results, nullptr);
+    EXPECT_EQ(stored.results->size(), 2u);
+    EXPECT_EQ((*stored.results)[1].total_cycles, 10u);
+    std::filesystem::remove_all(dir);
 }
 
 TEST(CompiledCacheRecords, EvictionAndClearTakeTheRecordsAlong)
@@ -358,35 +422,58 @@ TEST(CompiledCacheRecords, EvictionAndClearTakeTheRecordsAlong)
     CompiledCache cache;
     // Room for two artifacts with one record each, not three.
     cache.setByteBudget(2 * (60 + record) + 30);
-    int executes = 0;
-    const auto execute = [&] {
-        ++executes;
-        return stubResults(1, 1);
-    };
-    for (const char* key : {"netA#l0", "netB#l0"}) {
-        cache.getOrCompile(key, [] { return stubLayer(60); });
-        cache.getOrExecute(key, "s", execute);
-    }
+    CountingExecute execute;
+    const auto compile = [] { return stubLayer(60); };
+    for (const char* key : {"netA#l0", "netB#l0"})
+        cache.getOrRun(key, "s", compile, execute.fn());
     EXPECT_EQ(cache.stats().bytes, 2 * (60 + record));
 
     // netC pushes out the least recently used slot, netA, and its
     // record with it.
-    cache.getOrCompile("netC#l0", [] { return stubLayer(60); });
+    cache.getOrCompile("netC#l0", compile);
     EXPECT_EQ(cache.stats().evictions, 1u);
     EXPECT_EQ(cache.stats().bytes, (60 + record) + 60);
     cache.setByteBudget(0);
-    cache.getOrExecute("netB#l0", "s", execute);
-    EXPECT_EQ(executes, 2); // netB's record survived
-    cache.getOrCompile("netA#l0", [] { return stubLayer(60); });
-    cache.getOrExecute("netA#l0", "s", execute);
-    EXPECT_EQ(executes, 3); // netA's did not
+    cache.getOrRun("netB#l0", "s", compile, execute.fn());
+    EXPECT_EQ(execute.calls, 2); // netB's record survived
+    cache.getOrRun("netA#l0", "s", compile, execute.fn());
+    EXPECT_EQ(execute.calls, 3); // netA's did not
     EXPECT_EQ(cache.stats().bytes, 3 * 60 + 2 * record);
 
     cache.clear();
     EXPECT_EQ(cache.stats().bytes, 0u);
-    cache.getOrExecute("netB#l0", "s", execute);
-    EXPECT_EQ(executes, 4); // cleared with its slot
+    cache.getOrRun("netB#l0", "s", compile, execute.fn());
+    EXPECT_EQ(execute.calls, 4); // cleared with its slot
     EXPECT_EQ(cache.stats().result_hits, 0u);
+}
+
+TEST(CompiledCacheRecords, RecordHitsKeepHotSlotsFromEviction)
+{
+    const std::uint64_t record = CompiledCache::recordBytes("s", 1);
+    CompiledCache cache;
+    // Room for two slots with their records, not three.
+    cache.setByteBudget(2 * (60 + record) + 30);
+    CountingExecute execute;
+    const auto compile = [] { return stubLayer(60); };
+    cache.getOrRun("hot#l0", "s", compile, execute.fn());
+    cache.getOrRun("cold#l0", "s", compile, execute.fn());
+    // Both requests finish, hot first: it is the eviction candidate
+    // until its next use promotes it back to the live pool.
+    cache.finishNetwork("hot");
+    cache.finishNetwork("cold");
+
+    // The hot request comes back and replays from memory...
+    cache.getOrRun("hot#l0", "s", compile, execute.fn());
+    EXPECT_EQ(cache.stats().result_hits, 1u);
+    // ...so a fresh compile evicts the cold slot, not the hot one.
+    cache.getOrRun("fresh#l0", "s", compile, execute.fn());
+    EXPECT_EQ(cache.stats().evictions, 1u);
+    cache.getOrRun("hot#l0", "s", compile, execute.fn());
+    EXPECT_EQ(cache.stats().result_hits, 2u);
+    EXPECT_EQ(execute.calls, 3);
+    EXPECT_EQ(cache.stats().misses, 3u);
+    cache.getOrRun("cold#l0", "s", compile, execute.fn());
+    EXPECT_EQ(cache.stats().misses, 4u); // the cold slot went
 }
 
 TEST(CompiledCacheRecords, InsertFaultRetainsNeitherArtifactNorRecord)
@@ -394,17 +481,12 @@ TEST(CompiledCacheRecords, InsertFaultRetainsNeitherArtifactNorRecord)
     fault::reset();
     fault::configure("cache.insert=1");
     CompiledCache cache;
-    int executes = 0;
-    const auto execute = [&] {
-        ++executes;
-        return stubResults(1, 9);
-    };
-    for (int i = 0; i < 2; ++i) {
-        cache.getOrCompile("insert-key", [] { return stubLayer(32); });
-        cache.getOrExecute("insert-key", "loas", execute);
-    }
+    CountingExecute execute{1, 9};
+    for (int i = 0; i < 2; ++i)
+        cache.getOrRun("insert-key", "loas",
+                       [] { return stubLayer(32); }, execute.fn());
     fault::reset();
-    EXPECT_EQ(executes, 2);
+    EXPECT_EQ(execute.calls, 2);
     EXPECT_EQ(cache.stats().misses, 2u);
     EXPECT_EQ(cache.stats().result_hits, 0u);
     EXPECT_EQ(cache.stats().entries, 0u);

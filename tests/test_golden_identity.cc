@@ -9,6 +9,8 @@
  *     code), field for field.
  *  2. Scratch reuse must be stateless: re-running execute() on a warm
  *     instance reproduces the cold run exactly.
+ *  3. Result records persisted by an older execute model are never
+ *     served: the table's digest is pinned next to the result version.
  *
  * Re-capturing the golden table (only when the *modeled hardware*
  * legitimately changes): the DISABLED_PrintGoldenTable test below
@@ -17,6 +19,13 @@
  *
  *   ./build/test_golden_identity --gtest_also_run_disabled_tests \
  *       --gtest_filter='*PrintGoldenTable*'
+ *
+ * Bump rule: a re-captured table means execute() computes other
+ * RunResults, so every result record on disk is stale. Bump
+ * ArtifactStore::kResultVersion in the same change, then re-pin the
+ * digest and the version in ResultVersionTracksGoldenTable (its
+ * failure message prints the new digest). The old records are then
+ * rejected and re-executed instead of served.
  *
  * Each row is, in order: total_cycles, compute_cycles, dram_cycles,
  * traffic.dramBytes(), traffic.sramBytes(), cache_hits,
@@ -29,6 +38,8 @@
 #include <cstdio>
 
 #include "api/registry.hh"
+#include "workload/artifact_io.hh"
+#include "workload/artifact_store.hh"
 #include "workload/generator.hh"
 #include "workload/networks.hh"
 
@@ -182,6 +193,46 @@ TEST(GoldenIdentity, WarmExecuteReproducesColdRun)
         EXPECT_EQ(cold.cache_misses, warm.cache_misses);
         EXPECT_EQ(cold.ops.total(), warm.ops.total());
     }
+}
+
+// ---------------------------------------------------------------------
+// 3. Stale-record guard: the golden table and the result version move
+//    together.
+// ---------------------------------------------------------------------
+
+/** FNV-1a of both golden tables rendered in source order. */
+std::uint64_t
+goldenTableDigest()
+{
+    std::string text;
+    const auto render = [&](const GoldenRun* rows, std::size_t count) {
+        for (std::size_t i = 0; i < count; ++i) {
+            const GoldenRun& r = rows[i];
+            text += r.key;
+            for (const std::uint64_t v :
+                 {r.total_cycles, r.compute_cycles, r.dram_cycles,
+                  r.dram_bytes, r.sram_bytes, r.cache_hits,
+                  r.cache_misses, r.total_ops})
+                text += ' ' + std::to_string(v);
+            text += '\n';
+        }
+    };
+    render(kGoldenAlexnetL4, std::size(kGoldenAlexnetL4));
+    render(kGoldenVgg16L8, std::size(kGoldenVgg16L8));
+    return artio::fnv1a(text.data(), text.size());
+}
+
+TEST(GoldenIdentity, ResultVersionTracksGoldenTable)
+{
+    // Taken at result version 1. See the bump rule in the file header.
+    constexpr std::uint32_t kPinnedResultVersion = 1;
+    constexpr std::uint64_t kPinnedDigest = 0x0e90c9aa4abb4b0full;
+    EXPECT_EQ(goldenTableDigest(), kPinnedDigest)
+        << "the golden table changed: bump ArtifactStore::kResultVersion "
+           "and re-pin this digest (0x"
+        << std::hex << goldenTableDigest() << ") with the new version";
+    EXPECT_EQ(ArtifactStore::kResultVersion, kPinnedResultVersion)
+        << "re-pin the golden digest together with the result version";
 }
 
 } // namespace

@@ -9,6 +9,7 @@
 #include "api/json.hh"
 #include "api/sim_engine.hh"
 #include "core/loas_sim.hh"
+#include "workload/artifact_store.hh"
 #include "workload/generator.hh"
 #include "workload/networks.hh"
 
@@ -182,7 +183,8 @@ TEST(SimEngineSynthesis, WarmRunsSynthesizeNothing)
     EXPECT_EQ(warm_memory.compile_cache.misses, 0u);
     EXPECT_EQ(json::toJson(warm_memory), cold);
 
-    // Warm disk: a fresh private cache loads every layer from disk.
+    // Warm disk: a fresh private cache replays every layer from its
+    // disk record, loading no artifact...
     const std::filesystem::path dir =
         std::filesystem::path(::testing::TempDir()) / "loas-synth-disk";
     std::filesystem::remove_all(dir);
@@ -190,6 +192,24 @@ TEST(SimEngineSynthesis, WarmRunsSynthesizeNothing)
     request.cache_dir = dir.string();
     const SimReport cold_disk = SimEngine().run(request);
     EXPECT_EQ(cold_disk.synth_layers, 2 * layers);
+    EXPECT_EQ(cold_disk.compile_cache.result_disk_writes,
+              layers * request.accels.size());
+    const SimReport warm_records = SimEngine().run(request);
+    EXPECT_EQ(warm_records.synth_layers, 0u);
+    EXPECT_EQ(warm_records.synth_ms, 0.0);
+    EXPECT_EQ(warm_records.compile_cache.result_disk_hits,
+              cold_disk.compile_cache.result_disk_writes);
+    EXPECT_EQ(warm_records.compile_cache.disk_hits, 0u);
+    EXPECT_EQ(warm_records.compile_cache.misses, 0u);
+    EXPECT_EQ(json::toJson(warm_records), cold);
+
+    // ...and without the records it loads every artifact from disk.
+    const auto remove_records = [&] {
+        for (const auto& entry : std::filesystem::directory_iterator(dir))
+            if (entry.path().extension() == ArtifactStore::kRecordSuffix)
+                std::filesystem::remove(entry.path());
+    };
+    remove_records();
     const SimReport warm_disk = SimEngine().run(request);
     EXPECT_EQ(warm_disk.synth_layers, 0u);
     EXPECT_EQ(warm_disk.synth_ms, 0.0);
@@ -199,8 +219,12 @@ TEST(SimEngineSynthesis, WarmRunsSynthesizeNothing)
 
     // One artifact missing: its network is synthesized once, for the
     // one compile, and every other layer still loads from disk.
-    std::filesystem::remove(
-        std::filesystem::directory_iterator(dir)->path());
+    remove_records();
+    for (const auto& entry : std::filesystem::directory_iterator(dir))
+        if (entry.path().extension() == ArtifactStore::kFileSuffix) {
+            std::filesystem::remove(entry.path());
+            break;
+        }
     const SimReport one_missing = SimEngine().run(request);
     EXPECT_EQ(one_missing.synth_layers, layers);
     EXPECT_EQ(one_missing.compile_cache.misses, 1u);

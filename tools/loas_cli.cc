@@ -44,13 +44,13 @@
  *
  *   loas_cli cache stats|clear|warm --cache-dir PATH ...
  *       Manage the on-disk compiled-artifact cache: report occupancy,
- *       delete stored artifacts, or precompile (warm) the artifacts a
- *       later run/sweep would need.
+ *       delete stored artifacts and result records, or precompile
+ *       (warm) the artifacts a later run/sweep would need.
  *
  *   loas_cli serve --socket PATH [--workers N] [--max-depth N] ...
  *       Long-running simulation daemon: accepts concurrent requests
  *       as newline-delimited JSON over a unix socket (schema
- *       loas-serve/6, see src/serve/protocol.hh), runs them through
+ *       loas-serve/7, see src/serve/protocol.hh), runs them through
  *       an async job queue with dedup, coalescing, cancellation and
  *       backpressure, and shares one process-lifetime compiled cache
  *       across every request — a warm daemon serves repeat requests
@@ -67,16 +67,18 @@
  *       schema/format version this binary reads or writes.
  *
  * run, sweep and bench accept the shared cache flags:
- *   --cache-dir PATH  persist compiled artifacts on disk; a later
- *                     invocation with the same flag skips operand
- *                     recompression entirely
+ *   --cache-dir PATH  persist compiled artifacts and layer results on
+ *                     disk; a later invocation with the same flag
+ *                     skips operand recompression and replays every
+ *                     layer it has a record for
  *   --cache-mb N      in-memory compiled-cache byte budget in MiB
  *                     (0 = unlimited); LRU eviction, finished
  *                     networks first
  *   --cache-stats PATH
  *                     write the run's cache counters as JSON ("-":
  *                     stdout) — hits, misses, disk hits/writes/
- *                     rejects, result hits, evictions, compile_ms
+ *                     rejects, result hits, result disk hits/writes,
+ *                     evictions, compile_ms
  */
 
 #include <unistd.h>
@@ -155,8 +157,9 @@ usage(const char* argv0)
         "       loas_cli version\n"
         "\n"
         "cache flags (run/sweep/bench):\n"
-        "  --cache-dir PATH  persist compiled artifacts on disk and\n"
-        "                    reuse them across invocations\n"
+        "  --cache-dir PATH  persist compiled artifacts and layer\n"
+        "                    results on disk and reuse them across\n"
+        "                    invocations\n"
         "  --cache-mb N      in-memory compiled-cache budget in MiB\n"
         "                    (default 0 = unlimited)\n"
         "  --cache-stats PATH\n"
@@ -391,6 +394,7 @@ printCacheSummary(const CompiledCache::Stats& stats)
         stderr,
         "compile cache: %llu misses, %llu hits, %llu disk hits, "
         "%llu disk writes, %llu disk rejects, %llu result hits, "
+        "%llu result disk hits, %llu result disk writes, "
         "%llu evictions, %.3f compile ms, %.1f KB resident\n",
         static_cast<unsigned long long>(stats.misses),
         static_cast<unsigned long long>(stats.hits),
@@ -398,6 +402,8 @@ printCacheSummary(const CompiledCache::Stats& stats)
         static_cast<unsigned long long>(stats.disk_writes),
         static_cast<unsigned long long>(stats.disk_rejects),
         static_cast<unsigned long long>(stats.result_hits),
+        static_cast<unsigned long long>(stats.result_disk_hits),
+        static_cast<unsigned long long>(stats.result_disk_writes),
         static_cast<unsigned long long>(stats.evictions),
         stats.compile_ms,
         static_cast<double>(stats.bytes) / 1024.0);
@@ -1252,8 +1258,8 @@ runBench(int argc, char** argv)
 /**
  * Manage the on-disk artifact cache.
  *
- *   cache stats --cache-dir PATH   occupancy + format version
- *   cache clear --cache-dir PATH   delete every stored artifact
+ *   cache stats --cache-dir PATH   occupancy + format versions
+ *   cache clear --cache-dir PATH   delete every artifact and record
  *   cache warm  --cache-dir PATH [--accel LIST] [--network GRIDS]
  *               [--seed N]
  *       Precompile the artifacts the given accelerators would need on
@@ -1303,19 +1309,27 @@ runCache(int argc, char** argv)
         std::printf("cache dir:      %s\n", store.dir().c_str());
         std::printf("format version: %u\n",
                     ArtifactStore::kFormatVersion);
+        std::printf("result version: %u\n",
+                    ArtifactStore::kResultVersion);
         std::printf("artifacts:      %llu\n",
                     static_cast<unsigned long long>(stats.files));
         std::printf("bytes:          %llu (%.1f KB)\n",
                     static_cast<unsigned long long>(stats.bytes),
                     static_cast<double>(stats.bytes) / 1024.0);
+        std::printf("records:        %llu\n",
+                    static_cast<unsigned long long>(stats.records));
+        std::printf("record bytes:   %llu (%.1f KB)\n",
+                    static_cast<unsigned long long>(stats.record_bytes),
+                    static_cast<double>(stats.record_bytes) / 1024.0);
         std::printf("stale temps:    %llu\n",
                     static_cast<unsigned long long>(stats.tmp_files));
         return 0;
     }
     if (action == "clear") {
         const std::size_t removed = store.clear();
-        std::printf("removed %zu artifacts from %s\n", removed,
-                    store.dir().c_str());
+        std::printf("removed %zu files (artifacts, records, temps) "
+                    "from %s\n",
+                    removed, store.dir().c_str());
         return 0;
     }
 
@@ -1622,7 +1636,8 @@ runRequest(int argc, char** argv)
             stderr,
             "job %llu done: queue %.1f ms, run %.1f ms "
             "(synth %.1f ms, compile %.1f ms, sim %.1f ms), cache %g "
-            "hits / %g misses / %g result hits%s%s\n",
+            "hits / %g misses / %g result hits / %g result disk hits / "
+            "%g result disk writes%s%s\n",
             static_cast<unsigned long long>(id),
             stats->getNumber("queue_ms", 0), stats->getNumber("run_ms", 0),
             stats->getNumber("synth_ms", 0),
@@ -1631,6 +1646,10 @@ runRequest(int argc, char** argv)
             cache != nullptr ? cache->getNumber("hits", 0) : 0.0,
             cache != nullptr ? cache->getNumber("misses", 0) : 0.0,
             cache != nullptr ? cache->getNumber("result_hits", 0) : 0.0,
+            cache != nullptr ? cache->getNumber("result_disk_hits", 0)
+                             : 0.0,
+            cache != nullptr ? cache->getNumber("result_disk_writes", 0)
+                             : 0.0,
             reply.getBool("deduped", false) ? ", deduped" : "",
             reply.getNumber("coalesced_with", 0) > 0 ? ", coalesced"
                                                      : "");
