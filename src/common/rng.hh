@@ -70,6 +70,30 @@ class Rng
     /** Bernoulli trial with probability p of returning true. */
     bool bernoulli(double p) { return uniform() < p; }
 
+    /**
+     * The integer threshold of bernoulli(p), for loops that draw many
+     * trials at one p: bernoulliBelow(bernoulliThreshold(p)) consumes
+     * one sample and returns exactly what bernoulli(p) would. With
+     * u = next() >> 11, uniform() < p is u * 2^-53 < p, which is
+     * u < p * 2^53 (a power-of-two scaling, exact), and for an integer
+     * u that is u < ceil(p * 2^53).
+     */
+    static std::uint64_t
+    bernoulliThreshold(double p)
+    {
+        if (!(p > 0.0)) // also NaN: uniform() < NaN is never true
+            return 0;
+        if (p >= 1.0)
+            return std::uint64_t{1} << 53;
+        return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
+    }
+
+    /** One Bernoulli trial against a bernoulliThreshold() value. */
+    bool bernoulliBelow(std::uint64_t threshold)
+    {
+        return (next() >> 11) < threshold;
+    }
+
     /** Gaussian sample via Box-Muller. */
     double
     normal(double mean = 0.0, double stddev = 1.0)

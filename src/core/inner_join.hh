@@ -30,6 +30,16 @@
  * depth-D FIFOs are a ring of D check times: match i waits on the check
  * of match i - D. Working state lives in a caller-owned JoinScratch
  * reused across calls.
+ *
+ * The wave join runs the same pipeline for up to 16 TPPEs at once, the
+ * way the hardware does (Section IV-D): the PEs of a wave hold the rows
+ * of one tile and share the column's broadcast weight fiber. It steps
+ * once over the column's non-zero weights in position order and keeps
+ * every PE's state (chunk frontier, FIFO, timestamps, sums, op counts,
+ * span/run coalescer) in its own 32-bit lane of AVX-512 registers. A
+ * lane updates exactly as the per-item walk does for that item, so each
+ * lane's JoinResult equals join()'s field for field; the walk stays the
+ * oracle and the path of every other ISA and wave shape.
  */
 
 #pragma once
@@ -101,6 +111,26 @@ struct JoinScratch
     std::vector<std::uint64_t> fifo;      // last fifo_depth check times
 };
 
+/**
+ * Working state of the wave join: the loaded spike tile, transposed so
+ * that one aligned 64-byte load gives a value for all 16 lanes, and one
+ * JoinResult per lane. One instance per execute worker; after the first
+ * tile of the largest layer its buffers are warm and steady-state wave
+ * joins perform no heap allocations.
+ */
+struct WaveScratch
+{
+    std::vector<JoinResult> results;   // one per lane
+    std::vector<std::uint32_t> masks;  // [32-bit mask word][lane]
+    std::vector<std::uint32_t> ranks;  // [32-bit mask word][lane]
+    std::vector<std::uint32_t> values; // [position][lane], dense
+    std::vector<std::uint64_t> any;    // [64-bit word]: OR of lanes
+    std::vector<std::uint32_t> bases;  // [lane]: first value address
+    std::vector<SpikeRun> runs;        // [lane][column non-zero]
+    std::size_t lanes = 0;
+    std::size_t positions = 0;
+};
+
 /** Cycle-level model of one TPPE's inner-join datapath. */
 class InnerJoinUnit
 {
@@ -134,6 +164,39 @@ class InnerJoinUnit
     JoinResult join(const SpikeFiber& fiber_a,
                     const WeightFiber& fiber_b) const;
 
+    /** PEs one wave join advances together: 32-bit lanes of a zmm. */
+    static constexpr std::size_t kWaveLanes = 16;
+
+    /**
+     * True when joinWave() can join waves of `lanes` PEs over fibers of
+     * `positions` bits: the resolved kernel ISA is AVX-512, `lanes` is
+     * at most kWaveLanes, timesteps and FIFO depth are at most 16, and
+     * every cycle count of such a join fits a 32-bit lane.
+     */
+    bool waveFits(std::size_t lanes, std::size_t positions) const;
+
+    /**
+     * Make `fibers[0, lanes)` the tile joinWave() joins: lane l is
+     * fibers[l], whose first packed value sits at `value_bases[l]`.
+     * Call once per tile; every column then streams past it. Returns
+     * false, loading nothing, when a value address does not fit a
+     * 32-bit lane: the caller joins that tile item by item.
+     */
+    bool loadTile(const SpikeFiber* fibers,
+                  const std::uint64_t* value_bases, std::size_t lanes,
+                  WaveScratch& scratch) const;
+
+    /**
+     * Join every lane of the loaded tile with one weight fiber. Entry
+     * l of the returned array equals join(fibers[l], ..., fiber_b,
+     * rank_b, value_bases[l], ...) on every field; it points into
+     * `scratch` and is valid until the next joinWave() or loadTile().
+     * Requires waveFits() and a successful loadTile().
+     */
+    const JoinResult* joinWave(const WeightFiber& fiber_b,
+                               const RankedBitmask& rank_b,
+                               WaveScratch& scratch) const;
+
     const InnerJoinConfig& config() const { return config_; }
     int timesteps() const { return timesteps_; }
 
@@ -162,6 +225,7 @@ class InnerJoinUnit
     int timesteps_;
     int line_shift_;
     bool popcnt_; // run walkPopcnt()
+    bool wave_;   // the resolved ISA runs the wave join
 };
 
 } // namespace loas

@@ -21,16 +21,18 @@
  * accumulators live in vector lanes and each match lands as one
  * masked lane-add keyed by its packed temporal word.
  *
- * Bit-identity contract: the vector paths may only (a) skip words the
- * scalar loop would have skipped one at a time, and (b) reorder
- * *exact integer* additions across accumulator lanes — each lane
- * still receives the same multiset of adds in the original match
- * order, and two's-complement addition has no reassociation hazard.
- * Rank lookups, value gathers, FIFO/stall modelling and every other
- * per-match action stay on the scalar path in the original match
- * order, so the vector paths can never change a RunResult.
- * tests/test_kernel_dispatch.cc and the golden identity matrix
- * enforce this across every supported ISA.
+ * Bit-identity contract: a vector path may (a) skip words the scalar
+ * loop would have skipped one at a time, (b) reorder *exact integer*
+ * additions across accumulator lanes — each lane still receives the
+ * same multiset of adds, and two's-complement addition has no
+ * reassociation hazard — and (c) hold independent items in separate
+ * lanes, as the LoAS wave join (core/inner_join.hh) holds the PEs of a
+ * wave. Within one item, every per-match action (rank lookup, value
+ * fetch, FIFO/stall step, correction, span/run merge) happens in the
+ * scalar walk's match order, so no vector path can change a
+ * RunResult. tests/test_kernel_dispatch.cc, tests/test_wave_join.cc
+ * and the golden identity matrix enforce this across every supported
+ * ISA.
  *
  * Dispatch cost contract: resolution is a function-local static, so
  * steady state is one load of a function-pointer table per call site.

@@ -136,6 +136,16 @@ LoasSim::executeInput(const CompiledLayer& compiled, std::size_t input,
 
     std::uint64_t dram_bytes_seen = 0;
 
+    // A wave of a full tile holds the tile's rows at one column: the
+    // wave join advances all of them together (AVX-512). The tile is
+    // transposed once, when its first wave arrives, and stays loaded
+    // while every column streams past it. Other waves (a short last
+    // tile, M < PEs) and other ISAs join item by item.
+    const auto pes = static_cast<std::size_t>(config_.num_pes);
+    const bool wave_join = join_unit.waveFits(pes, compiled.k);
+    std::size_t tile_row = m; // no tile loaded
+    bool tile_loaded = false;
+
     for (std::size_t w = 0; w < scheduler.waveCount(); ++w) {
         scheduler.wave(w, scratch.items);
         const auto& items = scratch.items;
@@ -154,31 +164,54 @@ LoasSim::executeInput(const CompiledLayer& compiled, std::size_t input,
                      fibers_b[item.n].values.size());
         }
 
+        const JoinResult* lanes = nullptr;
+        if (wave_join && items.size() == pes &&
+            items.front().n == items.back().n &&
+            items.back().m == items.front().m + pes - 1) {
+            if (items.front().m != tile_row) {
+                tile_row = items.front().m;
+                std::uint64_t bases[InnerJoinUnit::kWaveLanes];
+                for (std::size_t l = 0; l < pes; ++l)
+                    bases[l] = kBaseAValues + a_val_off[tile_row + l];
+                tile_loaded = join_unit.loadTile(&fibers_a[tile_row], bases,
+                                                 pes, scratch.wave);
+            }
+            if (tile_loaded)
+                lanes = join_unit.joinWave(fibers_b[items.front().n],
+                                           ranked_b[items.front().n],
+                                           scratch.wave);
+        }
+
         std::uint64_t wave_cycles = 0;
-        for (const auto& item : items) {
+        for (std::size_t i = 0; i < items.size(); ++i) {
+            const WorkItem& item = items[i];
             // Stream the spike bitmask of this row into the TPPE.
             mem.read(TensorCategory::Meta, kBaseAMeta + a_meta_off[item.m],
                      fibers_a[item.m].metadataBytes());
-            const JoinResult& jr = join_unit.join(
-                fibers_a[item.m], ranked_a[item.m], fibers_b[item.n],
-                ranked_b[item.n], kBaseAValues + a_val_off[item.m],
-                scratch.join);
+            const JoinResult* jr = nullptr;
+            if (lanes != nullptr)
+                jr = &lanes[i];
+            else
+                jr = &join_unit.join(fibers_a[item.m], ranked_a[item.m],
+                                     fibers_b[item.n], ranked_b[item.n],
+                                     kBaseAValues + a_val_off[item.m],
+                                     scratch.join);
             // Matched packed spike words fetched from the global
             // cache, as the join coalesced them: the recorded SRAM
             // traffic is exactly the consumed span bytes, and each
             // cache line is walked once per run.
-            for (const SpikeRun& run : jr.runs)
+            for (const SpikeRun& run : jr->runs)
                 mem.readRun(TensorCategory::Input, run.addr, run.bytes,
                             run.payload);
 
-            const PlifResult pr = plif.fire(jr.sums);
+            const PlifResult pr = plif.fire(jr->sums);
             out_rows[item.m * n + item.n] = pr.spikes;
             if (input == 0)
                 last_output_.setWord(item.m, item.n, pr.spikes);
 
-            result.ops += jr.ops;
+            result.ops += jr->ops;
             result.ops += pr.ops;
-            wave_cycles = std::max(wave_cycles, jr.cycles);
+            wave_cycles = std::max(wave_cycles, jr->cycles);
         }
 
         if (wave_cycles > wave_overlap + 1)

@@ -87,6 +87,7 @@ class LoasSim : public Accelerator
     {
         std::optional<MemorySystem> mem;
         JoinScratch join;
+        WaveScratch wave;
         std::vector<TimeWord> out_rows;  // m x n, row-major
         std::vector<WorkItem> items;     // current wave
         CompressResult compress;

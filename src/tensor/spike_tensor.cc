@@ -43,6 +43,14 @@ SpikeTensor::setWord(std::size_t r, std::size_t c, TimeWord w)
     words_.at(r, c) = w;
 }
 
+TimeWord*
+SpikeTensor::rowWords(std::size_t r)
+{
+    if (r >= rows_)
+        panic("rowWords: row %zu of %zu", r, rows_);
+    return words_.data().data() + r * cols_;
+}
+
 bool
 SpikeTensor::spike(std::size_t r, std::size_t c, int t) const
 {

@@ -47,6 +47,13 @@ class SpikeTensor
     /** Overwrite the packed temporal word of neuron (r, c). */
     void setWord(std::size_t r, std::size_t c, TimeWord w);
 
+    /**
+     * The cols() packed words of row r, for bulk writers (the workload
+     * generator). Unlike setWord(), writes through the pointer are not
+     * checked: each word must have no bit at or above timesteps().
+     */
+    TimeWord* rowWords(std::size_t r);
+
     /** Single spike bit at (r, c, t). */
     bool spike(std::size_t r, std::size_t c, int t) const;
 

@@ -27,16 +27,24 @@ binomialPmf(double p, int n)
     return pmf;
 }
 
-/** Sample one packed word with >= min_spikes bits set. */
+/**
+ * Sample one packed word with >= min_spikes bits set, each bit firing
+ * with the probability whose Rng::bernoulliThreshold() is `fire`.
+ */
 TimeWord
-sampleActiveWord(Rng& rng, double p, int t, int min_spikes)
+sampleActiveWord(Rng& rng, std::uint64_t fire, int t, int min_spikes)
 {
     for (int attempt = 0; attempt < 10000; ++attempt) {
+        // No branch on a draw, and the spike count as it is drawn (a
+        // portable build would call a library popcount).
         TimeWord w = 0;
-        for (int bit = 0; bit < t; ++bit)
-            if (rng.bernoulli(p))
-                w |= (TimeWord{1} << bit);
-        if (popcount64(w) >= min_spikes)
+        int spikes = 0;
+        for (int bit = 0; bit < t; ++bit) {
+            const bool fired = rng.bernoulliBelow(fire);
+            w |= static_cast<TimeWord>(fired) << bit;
+            spikes += fired;
+        }
+        if (spikes >= min_spikes)
             return w;
     }
     // Probability mass below min_spikes is overwhelming; force the
@@ -52,9 +60,26 @@ sampleActiveWord(Rng& rng, double p, int t, int min_spikes)
 std::int8_t
 sampleNonzeroWeight(Rng& rng)
 {
+    static constexpr std::uint64_t kHalf = // bernoulliThreshold(0.5)
+        std::uint64_t{1} << 52;
     const int magnitude = 1 + static_cast<int>(rng.uniformInt(127));
-    return static_cast<std::int8_t>(rng.bernoulli(0.5) ? magnitude
-                                                       : -magnitude);
+    return static_cast<std::int8_t>(rng.bernoulliBelow(kHalf) ? magnitude
+                                                              : -magnitude);
+}
+
+/** Fill `weights` with nonzero weights at the given density. */
+void
+sampleWeights(Rng& rng, DenseMatrix<std::int8_t>& weights, double density)
+{
+    // Draw from a local copy: an int8 store may alias anything, so the
+    // compiler would reload and store `rng`'s state around each one.
+    Rng local = rng;
+    const std::uint64_t keep = Rng::bernoulliThreshold(density);
+    std::int8_t* w = weights.data().data();
+    for (std::size_t i = 0; i < weights.rows() * weights.cols(); ++i)
+        if (local.bernoulliBelow(keep))
+            w[i] = sampleNonzeroWeight(local);
+    rng = local;
 }
 
 } // namespace
@@ -107,14 +132,20 @@ void
 sampleSpikeTensor(Rng& rng, SpikeTensor& spikes, const LayerSpec& spec,
                   double silent, double p, int min_spikes)
 {
+    if (silent >= 1.0)
+        return;
+    const std::uint64_t quiet = Rng::bernoulliThreshold(silent);
+    const std::uint64_t fire = Rng::bernoulliThreshold(p);
+    // Draw from a local copy, which the compiler keeps in registers;
+    // it cannot keep `rng` there across the row writes.
+    Rng local = rng;
     for (std::size_t m = 0; m < spec.m; ++m) {
-        for (std::size_t k = 0; k < spec.k; ++k) {
-            if (silent >= 1.0 || rng.bernoulli(silent))
-                continue;
-            spikes.setWord(m, k,
-                           sampleActiveWord(rng, p, spec.t, min_spikes));
-        }
+        TimeWord* const row = spikes.rowWords(m);
+        for (std::size_t k = 0; k < spec.k; ++k)
+            if (!local.bernoulliBelow(quiet))
+                row[k] = sampleActiveWord(local, fire, spec.t, min_spikes);
     }
+    rng = local;
 }
 
 } // namespace
@@ -148,11 +179,7 @@ generateLayer(const LayerSpec& spec, std::uint64_t seed, bool ft,
 
     sampleSpikeTensor(rng, data.spikes, spec, silent, p, min_spikes);
 
-    const double weight_density = 1.0 - spec.weight_sparsity;
-    for (std::size_t k = 0; k < spec.k; ++k)
-        for (std::size_t n = 0; n < spec.n; ++n)
-            if (rng.bernoulli(weight_density))
-                data.weights(k, n) = sampleNonzeroWeight(rng);
+    sampleWeights(rng, data.weights, 1.0 - spec.weight_sparsity);
 
     // Extra batch inputs come off per-input streams derived from the
     // layer seed alone: input b is identical whatever the total batch
@@ -199,11 +226,7 @@ generateAnnLayer(const LayerSpec& spec, std::uint64_t seed)
                 data.acts(m, k) =
                     static_cast<std::int8_t>(1 + rng.uniformInt(127));
             }
-    const double weight_density = 1.0 - spec.weight_sparsity;
-    for (std::size_t k = 0; k < spec.k; ++k)
-        for (std::size_t n = 0; n < spec.n; ++n)
-            if (rng.bernoulli(weight_density))
-                data.weights(k, n) = sampleNonzeroWeight(rng);
+    sampleWeights(rng, data.weights, 1.0 - spec.weight_sparsity);
     return data;
 }
 

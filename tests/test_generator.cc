@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "snn/metrics.hh"
+#include "workload/artifact_io.hh"
 #include "workload/generator.hh"
 #include "workload/networks.hh"
 
@@ -129,6 +130,67 @@ TEST(Generator, NetworkGeneration)
     for (std::size_t l = 0; l < layers.size(); ++l) {
         EXPECT_EQ(layers[l].spec.name, net.layers[l].name);
         EXPECT_EQ(layers[l].spikes.rows(), net.layers[l].m);
+    }
+}
+
+/**
+ * FNV-1a over every spike word (4 bytes, little-endian, row-major, input
+ * by input) and every weight byte that generateNetwork emits.
+ */
+std::uint64_t
+networkDigest(const NetworkSpec& net, bool ft, std::size_t batch)
+{
+    std::uint64_t hash = 1469598103934665603ull;
+    for (const LayerData& layer : generateNetwork(net, 101, ft, batch)) {
+        for (std::size_t b = 0; b < layer.batchSize(); ++b) {
+            const SpikeTensor& spikes = layer.input(b);
+            for (std::size_t r = 0; r < spikes.rows(); ++r)
+                for (std::size_t c = 0; c < spikes.cols(); ++c) {
+                    const TimeWord w = spikes.word(r, c);
+                    const char bytes[4] = {
+                        static_cast<char>(w), static_cast<char>(w >> 8),
+                        static_cast<char>(w >> 16),
+                        static_cast<char>(w >> 24)};
+                    hash = artio::fnv1a(bytes, 4, hash);
+                }
+        }
+        const auto& weights = layer.weights.data();
+        hash = artio::fnv1a(reinterpret_cast<const char*>(weights.data()),
+                            weights.size(), hash);
+    }
+    return hash;
+}
+
+TEST(Generator, NetworkOutputPinned)
+{
+    // Every spike word and weight of the three Table II networks, plain
+    // and fine-tuned, batch 1 and 2, at seed 101. Any change to what
+    // the generator draws, or in which order, moves a digest.
+    struct Case
+    {
+        NetworkSpec net;
+        bool ft;
+        std::size_t batch;
+        std::uint64_t digest;
+    };
+    const Case cases[] = {
+        {tables::alexnet(), false, 1, 0x93b15b79f2d8e754ull},
+        {tables::alexnet(), false, 2, 0x5a6467527b8df311ull},
+        {tables::alexnet(), true, 1, 0x881665c9dbc2ef2eull},
+        {tables::alexnet(), true, 2, 0xa0d68486f3e5c69bull},
+        {tables::vgg16(), false, 1, 0x9e0944b8e009414cull},
+        {tables::vgg16(), false, 2, 0xf9a8d3e8fe39098full},
+        {tables::vgg16(), true, 1, 0x746f03e9b6b53759ull},
+        {tables::vgg16(), true, 2, 0x509d793be91d02caull},
+        {tables::resnet19(), false, 1, 0xa79a0e6d4dca1fa7ull},
+        {tables::resnet19(), false, 2, 0xc6f2d4d7b01c8d19ull},
+        {tables::resnet19(), true, 1, 0xda540387fb074c78ull},
+        {tables::resnet19(), true, 2, 0x008bd9f10dc06fa8ull},
+    };
+    for (const Case& c : cases) {
+        const std::uint64_t got = networkDigest(c.net, c.ft, c.batch);
+        EXPECT_EQ(got, c.digest)
+            << c.net.name << " ft=" << c.ft << " batch=" << c.batch;
     }
 }
 

@@ -10,9 +10,10 @@
  *     collapse kernels agree with scalar across timestep widths
  *     spanning each ISA's vector-lane fast path and its scalar
  *     fallback.
- *  2. Golden matrix: every registered design run under
- *     {scalar, best ISA} reproduces the scalar RunResult field for
- *     field.
+ *  2. Golden matrix: every registered design run under every ISA
+ *     the host supports reproduces the scalar RunResult field for
+ *     field (on an AVX-512 host that covers the AVX2 POPCNT walk as
+ *     well as the AVX-512 wave join).
  *  3. ANN disk-cache identity: a prepareAnn artifact round-trips
  *     through a cold CompiledCache attached to a warm disk dir with
  *     zero compile time and an identical RunResult.
@@ -274,8 +275,7 @@ TEST(KernelDispatch, GoldenMatrixAcrossIsa)
         {"alexnet-l4", {tables::alexnetL4()}},
         {"vgg16-l8", {tables::vgg16L8()}},
     };
-    const kernels::Isa isas[] = {kernels::Isa::Scalar,
-                                 kernels::bestSupportedIsa()};
+    const std::vector<kernels::Isa> isas = supportedIsas();
 
     for (const auto& net : nets) {
         for (const auto& key : registry.keys()) {

@@ -86,5 +86,41 @@ TEST(Rng, ZeroSeedIsUsable)
     EXPECT_TRUE(nonzero);
 }
 
+/** bernoulliBelow(bernoulliThreshold(p)) against bernoulli(p). */
+void
+expectThresholdFormAgrees(double p)
+{
+    // At the boundary: the samples u = threshold - 1 and threshold sit
+    // on either side of p * 2^53 exactly as uniform() < p decides.
+    const std::uint64_t threshold = Rng::bernoulliThreshold(p);
+    for (const std::uint64_t u : {threshold - 1, threshold}) {
+        if (u >= (std::uint64_t{1} << 53))
+            continue; // not a value of next() >> 11
+        EXPECT_EQ(static_cast<double>(u) * 0x1.0p-53 < p, u < threshold)
+            << "p=" << p << " u=" << u;
+    }
+    // And over a stream: the same draws, trial for trial.
+    Rng a(1234);
+    Rng b(1234);
+    for (int i = 0; i < 2000; ++i)
+        ASSERT_EQ(a.bernoulli(p), b.bernoulliBelow(threshold))
+            << "p=" << p << " trial " << i;
+}
+
+TEST(Rng, BernoulliThresholdMatchesBernoulli)
+{
+    for (const double p : {0.0, 0x1.0p-53, 0.5, 1.0 - 0x1.0p-53, 1.0})
+        expectThresholdFormAgrees(p);
+    // A sweep of p, including values that are not multiples of 2^-53.
+    Rng rng(77);
+    for (int i = 0; i < 500; ++i)
+        expectThresholdFormAgrees(rng.uniform());
+    for (int i = 1; i < 1000; ++i)
+        expectThresholdFormAgrees(i / 1000.0);
+    EXPECT_EQ(Rng::bernoulliThreshold(0.0), 0u);
+    EXPECT_EQ(Rng::bernoulliThreshold(1.0), std::uint64_t{1} << 53);
+    EXPECT_EQ(Rng::bernoulliThreshold(0x1.0p-53), 1u);
+}
+
 } // namespace
 } // namespace loas
