@@ -42,8 +42,9 @@ inline constexpr char kListSchema[] = "loas-list/2";
  *  and worker-pool fields in the version and stats replies, /5 the
  *  synth_ms and synth_layers per-request stats, /6 the result_hits
  *  cache counter, /7 the result_disk_hits and result_disk_writes
- *  cache counters. */
-inline constexpr char kServeSchema[] = "loas-serve/7";
+ *  cache counters; /8 removed the deduped/coalesced_with reply fields
+ *  and the deduped/coalesced queue counters (one job per submit). */
+inline constexpr char kServeSchema[] = "loas-serve/8";
 
 /** loas_cli version self-description object; /2 added the resolved
  *  SIMD ISA. */

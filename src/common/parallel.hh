@@ -19,58 +19,11 @@
 namespace loas {
 
 /**
- * Run `jobs` instances of `body(job_index)` across `threads` workers.
- * Exceptions escaping a job are rethrown in the caller (first one
- * wins); remaining jobs still drain so the workers join cleanly.
- */
-template <typename Body>
-void
-parallelFor(std::size_t jobs, int threads, Body&& body)
-{
-    if (threads <= 1 || jobs <= 1) {
-        for (std::size_t i = 0; i < jobs; ++i)
-            body(i);
-        return;
-    }
-
-    std::atomic<std::size_t> next{0};
-    std::atomic<bool> failed{false};
-    std::exception_ptr error;
-    std::mutex error_mutex;
-
-    auto worker = [&] {
-        while (true) {
-            const std::size_t i = next.fetch_add(1);
-            if (i >= jobs)
-                return;
-            if (failed.load())
-                continue; // drain without doing more work
-            try {
-                body(i);
-            } catch (...) {
-                const std::lock_guard<std::mutex> lock(error_mutex);
-                if (!error)
-                    error = std::current_exception();
-                failed.store(true);
-            }
-        }
-    };
-
-    const std::size_t n_workers =
-        std::min<std::size_t>(static_cast<std::size_t>(threads), jobs);
-    std::vector<std::thread> pool;
-    pool.reserve(n_workers);
-    for (std::size_t w = 0; w < n_workers; ++w)
-        pool.emplace_back(worker);
-    for (auto& t : pool)
-        t.join();
-    if (error)
-        std::rethrow_exception(error);
-}
-
-/**
- * Like parallelFor, but each worker has a stable identity: `body` is
- * called as body(worker, job) with `worker` in [0, workers) where
+ * Run `jobs` instances of `body(worker, job_index)` across `threads`
+ * workers. Exceptions escaping a job are rethrown in the caller (first
+ * one wins); remaining jobs still drain so the workers join cleanly.
+ *
+ * Each worker has a stable identity: `worker` is in [0, workers) where
  * `workers = min(threads, jobs)` (or 0 when the loop runs serially).
  * Jobs are still pulled off one atomic counter, so the job->worker
  * assignment is nondeterministic — callers must write results into
@@ -120,6 +73,15 @@ parallelForWorkers(std::size_t jobs, int threads, Body&& body)
         t.join();
     if (error)
         std::rethrow_exception(error);
+}
+
+/** parallelForWorkers without the worker index: `body(job_index)`. */
+template <typename Body>
+void
+parallelFor(std::size_t jobs, int threads, Body&& body)
+{
+    const auto per_job = [&body](std::size_t, std::size_t i) { body(i); };
+    parallelForWorkers(jobs, threads, per_job);
 }
 
 /** Requested thread count resolved: 0 = one per hardware thread. */

@@ -12,6 +12,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/** Finished jobs retained for poll(); the oldest are dropped. */
+constexpr std::size_t kMaxFinished = 256;
+
 double
 msSince(Clock::time_point start, Clock::time_point end)
 {
@@ -66,12 +69,21 @@ JobQueue::submit(const RunSpec& spec)
 {
     // Resolve outside the lock; std::invalid_argument propagates to
     // the caller as a bad_request before anything is enqueued.
-    SimRequest request = toSimRequest(spec);
-    request.threads = config_.engine_threads;
-    request.compiled_cache = cache_;
-
-    const std::string dedup = dedupKey(spec);
-    const auto now = Clock::now();
+    auto job = std::make_shared<Job>();
+    job->request = toSimRequest(spec);
+    job->request.threads = config_.engine_threads;
+    job->request.compiled_cache = cache_;
+    job->request.cancel = &job->cancel;
+    job->enqueued = Clock::now();
+    const double timeout_ms = spec.timeout_ms > 0
+                                  ? spec.timeout_ms
+                                  : config_.default_timeout_ms;
+    if (timeout_ms > 0) {
+        const auto timeout = std::chrono::duration_cast<Clock::duration>(
+            std::chrono::duration<double, std::milli>(timeout_ms));
+        job->has_deadline = true;
+        job->deadline = job->enqueued + timeout;
+    }
 
     std::lock_guard<std::mutex> lock(mutex_);
     Submitted out;
@@ -82,37 +94,6 @@ JobQueue::submit(const RunSpec& spec)
         return out;
     }
     ++counters_.submitted;
-
-    const double timeout_ms = spec.timeout_ms > 0
-                                  ? spec.timeout_ms
-                                  : config_.default_timeout_ms;
-    const auto deadlineFor = [&](double ms) {
-        return now + std::chrono::duration_cast<Clock::duration>(
-                         std::chrono::duration<double, std::milli>(ms));
-    };
-
-    if (auto it = inflight_.find(dedup); it != inflight_.end()) {
-        // Identical request already queued or running: attach to it.
-        // The job now answers for one more submitter, so it obeys the
-        // LEAST restrictive of their deadlines, and cancel() needs one
-        // vote per attachment before it really cancels.
-        const std::shared_ptr<Job>& job = it->second;
-        job->deduped = true;
-        ++job->attached;
-        if (timeout_ms <= 0) {
-            job->has_deadline = false;
-        } else if (job->has_deadline) {
-            const auto deadline = deadlineFor(timeout_ms);
-            if (deadline > job->deadline)
-                job->deadline = deadline;
-        }
-        ++counters_.deduped;
-        out.accepted = true;
-        out.deduped = true;
-        out.id = job->id;
-        return out;
-    }
-
     if (queue_.size() >= config_.max_depth) {
         ++counters_.rejected;
         out.error = "queue_full";
@@ -121,25 +102,13 @@ JobQueue::submit(const RunSpec& spec)
         return out;
     }
 
-    auto job = std::make_shared<Job>();
-    job->id = next_id_++;
-    job->spec = spec;
-    job->request = std::move(request);
-    job->dedup_key = dedup;
-    job->coalesce_key = coalesceKey(spec);
-    job->enqueued = now;
-    if (timeout_ms > 0) {
-        job->has_deadline = true;
-        job->deadline = deadlineFor(timeout_ms);
-    }
-
-    jobs_.emplace(job->id, job);
-    inflight_.emplace(job->dedup_key, job);
+    job->result.id = next_id_++;
+    jobs_.emplace(job->result.id, job);
     queue_.push_back(job);
     work_cv_.notify_one();
 
     out.accepted = true;
-    out.id = job->id;
+    out.id = job->result.id;
     return out;
 }
 
@@ -151,7 +120,7 @@ JobQueue::poll(std::uint64_t id)
     if (it == jobs_.end())
         return std::nullopt;
     enforceDeadlineLocked(it->second);
-    return snapshotLocked(*it->second);
+    return it->second->result;
 }
 
 std::optional<JobQueue::Result>
@@ -164,8 +133,8 @@ JobQueue::wait(std::uint64_t id)
     std::shared_ptr<Job> job = it->second;
     while (true) {
         enforceDeadlineLocked(job);
-        if (isTerminal(job->state))
-            return snapshotLocked(*job);
+        if (isTerminal(job->result.state))
+            return job->result;
         if (job->has_deadline)
             done_cv_.wait_until(lock, job->deadline);
         else
@@ -178,15 +147,8 @@ JobQueue::cancel(std::uint64_t id)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = jobs_.find(id);
-    if (it == jobs_.end() || isTerminal(it->second->state))
+    if (it == jobs_.end() || isTerminal(it->second->result.state))
         return false;
-    // A deduped job answers for several submitters who all hold the
-    // same id: each cancel detaches one of them, and only the last
-    // detachment cancels the job the others no longer want.
-    if (it->second->attached > 1) {
-        --it->second->attached;
-        return true;
-    }
     cancelLocked(it->second, State::Cancelled);
     done_cv_.notify_all();
     return true;
@@ -216,15 +178,14 @@ JobQueue::shutdown(bool drain)
                 std::shared_ptr<Job> job = queue_.front();
                 cancelLocked(job, State::Cancelled);
             }
-            // Running groups: trip the engine token; the workers
+            // Running jobs: trip the engine token; the workers
             // observe SimCancelled (or a natural finish, if the run
             // was already past its last checkpoint) and settle the
-            // member states themselves.
+            // job states themselves.
             for (auto& [id, job] : jobs_) {
                 (void)id;
-                if (job->state == State::Running && job->group)
-                    job->group->cancel.store(
-                        true, std::memory_order_relaxed);
+                if (job->result.state == State::Running)
+                    job->cancel.store(true, std::memory_order_relaxed);
             }
         }
         workers.swap(workers_);
@@ -252,57 +213,16 @@ JobQueue::workerLoop()
         if (stopping_ && !drain_)
             return;
 
-        const auto dequeued = Clock::now();
-        std::shared_ptr<Job> first = queue_.front();
+        std::shared_ptr<Job> job = queue_.front();
         queue_.pop_front();
-        enforceDeadlineLocked(first);
-        if (isTerminal(first->state)) {
+        enforceDeadlineLocked(job);
+        if (isTerminal(job->result.state)) {
             done_cv_.notify_all();
             continue;
         }
-
-        auto group = std::make_shared<Group>();
-        group->members.push_back(first);
-        if (config_.coalesce) {
-            for (auto it = queue_.begin(); it != queue_.end();) {
-                std::shared_ptr<Job> other = *it;
-                if (other->coalesce_key != first->coalesce_key) {
-                    ++it;
-                    continue;
-                }
-                it = queue_.erase(it);
-                enforceDeadlineLocked(other);
-                if (!isTerminal(other->state))
-                    group->members.push_back(other);
-            }
-        }
-        if (group->members.size() > 1)
-            counters_.coalesced +=
-                static_cast<std::uint64_t>(group->members.size() - 1);
-
-        // The merged run: union of the members' accelerator lists in
-        // first-seen order; networks/seed/energy are identical across
-        // the group by construction of the coalesce key.
-        SimRequest merged = first->request;
-        merged.cancel = &group->cancel;
-        for (std::size_t m = 1; m < group->members.size(); ++m) {
-            for (const auto& accel :
-                 group->members[m]->request.accels) {
-                if (std::find(merged.accels.begin(),
-                              merged.accels.end(),
-                              accel) == merged.accels.end())
-                    merged.accels.push_back(accel);
-            }
-        }
-
-        for (auto& member : group->members) {
-            member->state = State::Running;
-            member->group = group;
-            member->queue_ms = msSince(member->enqueued, dequeued);
-            member->coalesced_with =
-                static_cast<int>(group->members.size() - 1);
-            ++counters_.running;
-        }
+        job->result.state = State::Running;
+        job->result.queue_ms = msSince(job->enqueued, Clock::now());
+        ++counters_.running;
         done_cv_.notify_all();
 
         lock.unlock();
@@ -311,7 +231,8 @@ JobQueue::workerLoop()
         std::string error;
         const auto started = Clock::now();
         try {
-            report = runner_ ? runner_(merged) : engine.run(merged);
+            report = runner_ ? runner_(job->request)
+                             : engine.run(job->request);
         } catch (const SimCancelled&) {
             cancelled = true;
         } catch (const std::exception& e) {
@@ -320,84 +241,40 @@ JobQueue::workerLoop()
         const double run_ms = msSince(started, Clock::now());
         lock.lock();
 
-        for (auto& member : group->members) {
-            if (isTerminal(member->state))
-                continue;  // cancelled / timed out mid-run
-            member->run_ms = run_ms;
+        Result& result = job->result;
+        if (!isTerminal(result.state)) {  // else settled mid-run
+            result.run_ms = run_ms;
             if (cancelled) {
-                finishLocked(member, State::Cancelled);
-                continue;
+                finishLocked(*job, State::Cancelled);
+            } else if (!error.empty()) {
+                result.error = error;
+                finishLocked(*job, State::Failed);
+            } else {
+                result.compile_ms = report.compile_cache.compile_ms;
+                result.sim_ms = report.sim_ms;
+                result.synth_ms = report.synth_ms;
+                result.synth_layers = report.synth_layers;
+                if (run_ms > 0.0)
+                    result.inferences_per_s =
+                        static_cast<double>(job->request.batch *
+                                            report.runs.size()) /
+                        (run_ms / 1000.0);
+                result.cache = report.compile_cache;
+                result.report_json = std::make_shared<const std::string>(
+                    json::toJson(report));
+                finishLocked(*job, State::Done);
             }
-            if (!error.empty()) {
-                member->error = error;
-                finishLocked(member, State::Failed);
-                continue;
-            }
-            // Slice this member's cells back out of the merged
-            // matrix, in the accel-major order its solo run would
-            // have produced, and render the report document it would
-            // have written.
-            SimReport sliced;
-            sliced.compile_cache = report.compile_cache;
-            sliced.prepare_ms = report.prepare_ms;
-            sliced.sim_ms = report.sim_ms;
-            for (const auto& accel : member->request.accels) {
-                for (const auto& network : member->request.networks) {
-                    const SimRun* run =
-                        report.find(accel, network.name);
-                    if (run != nullptr)
-                        sliced.runs.push_back(*run);
-                }
-            }
-            member->compile_ms = report.compile_cache.compile_ms;
-            member->sim_ms = report.sim_ms;
-            member->synth_ms = report.synth_ms;
-            member->synth_layers = report.synth_layers;
-            // Throughput this job observed: its own inference count
-            // (batch x sliced cells) over the shared run's wall time.
-            if (run_ms > 0.0)
-                member->inferences_per_s =
-                    static_cast<double>(member->request.batch *
-                                        sliced.runs.size()) /
-                    (run_ms / 1000.0);
-            member->cache = report.compile_cache;
-            member->report_json = std::make_shared<const std::string>(
-                json::toJson(sliced));
-            finishLocked(member, State::Done);
         }
-        for (auto& member : group->members)
-            member->group.reset();
         done_cv_.notify_all();
     }
 }
 
-JobQueue::Result
-JobQueue::snapshotLocked(const Job& job) const
-{
-    Result out;
-    out.id = job.id;
-    out.state = job.state;
-    out.deduped = job.deduped;
-    out.coalesced_with = job.coalesced_with;
-    out.queue_ms = job.queue_ms;
-    out.run_ms = job.run_ms;
-    out.compile_ms = job.compile_ms;
-    out.sim_ms = job.sim_ms;
-    out.synth_ms = job.synth_ms;
-    out.synth_layers = job.synth_layers;
-    out.inferences_per_s = job.inferences_per_s;
-    out.cache = job.cache;
-    out.report_json = job.report_json;
-    out.error = job.error;
-    return out;
-}
-
 void
-JobQueue::finishLocked(std::shared_ptr<Job> job, State state)
+JobQueue::finishLocked(Job& job, State state)
 {
-    if (job->state == State::Running)
+    if (job.result.state == State::Running)
         --counters_.running;
-    job->state = state;
+    job.result.state = state;
     switch (state) {
       case State::Done:
         ++counters_.done;
@@ -414,11 +291,8 @@ JobQueue::finishLocked(std::shared_ptr<Job> job, State state)
       default:
         break;
     }
-    if (auto it = inflight_.find(job->dedup_key);
-        it != inflight_.end() && it->second == job)
-        inflight_.erase(it);
-    finished_order_.push_back(job->id);
-    while (finished_order_.size() > config_.max_finished) {
+    finished_order_.push_back(job.result.id);
+    while (finished_order_.size() > kMaxFinished) {
         jobs_.erase(finished_order_.front());
         finished_order_.pop_front();
     }
@@ -427,7 +301,7 @@ JobQueue::finishLocked(std::shared_ptr<Job> job, State state)
 void
 JobQueue::enforceDeadlineLocked(const std::shared_ptr<Job>& job)
 {
-    if (isTerminal(job->state) || !job->has_deadline)
+    if (isTerminal(job->result.state) || !job->has_deadline)
         return;
     if (Clock::now() < job->deadline)
         return;
@@ -437,30 +311,18 @@ JobQueue::enforceDeadlineLocked(const std::shared_ptr<Job>& job)
 void
 JobQueue::cancelLocked(const std::shared_ptr<Job>& job, State state)
 {
-    if (isTerminal(job->state))
+    if (isTerminal(job->result.state))
         return;
-    if (job->state == State::Queued) {
-        removeQueuedLocked(job);
-        finishLocked(job, state);
-        return;
+    // A queued job leaves the queue (a worker that already popped it
+    // finds it terminal); a running one has its engine token tripped.
+    if (job->result.state == State::Queued) {
+        const auto it = std::find(queue_.begin(), queue_.end(), job);
+        if (it != queue_.end())
+            queue_.erase(it);
+    } else {
+        job->cancel.store(true, std::memory_order_relaxed);
     }
-    // Running: the member's outcome is settled now; the engine run is
-    // told to abort only once EVERY member of its group has bowed out,
-    // since the others still want its results.
-    finishLocked(job, state);
-    if (job->group) {
-        ++job->group->cancel_votes;
-        if (job->group->cancel_votes >= job->group->members.size())
-            job->group->cancel.store(true, std::memory_order_relaxed);
-    }
-}
-
-void
-JobQueue::removeQueuedLocked(const std::shared_ptr<Job>& job)
-{
-    auto it = std::find(queue_.begin(), queue_.end(), job);
-    if (it != queue_.end())
-        queue_.erase(it);
+    finishLocked(*job, state);
 }
 
 } // namespace serve

@@ -7,28 +7,20 @@
  *  - a bounded FIFO of submitted jobs drained by a worker pool (each
  *    worker runs one engine job matrix at a time; the engine itself
  *    parallelizes inside the run via common/parallel.hh);
+ *  - one job per submit: every accepted submit gets its own id,
+ *    deadline, cancel token and engine run, and its reply describes
+ *    that run alone. Repeated work is shared one level down, by the
+ *    CompiledCache the runs have in common: it compiles each artifact
+ *    and executes each (layer, design) once, and replays the result
+ *    to every later or concurrent run that asks for it;
  *  - admission control: submits beyond the queue-depth bound are
  *    rejected synchronously with a structured `queue_full` error —
  *    backpressure, never an unbounded queue or a hang;
- *  - request dedup: a submit exactly identical to an in-flight
- *    (queued or running) job attaches to that job instead of
- *    enqueueing a copy, and all submitters share its one result. The
- *    shared job keeps the least restrictive of the attached
- *    submitters' deadlines, and cancel() is refcounted across them —
- *    one cancel per attached submitter before the job actually dies
- *    (the same vote scheme coalesce groups use);
- *  - job coalescing: when a worker dequeues a job it also takes every
- *    queued job with the same workload identity (networks, seed,
- *    energy — see protocol.hh coalesceKey) and runs the union of
- *    their accelerator lists as ONE engine run, so the workload is
- *    synthesized once and the compiled artifacts stream out of one
- *    warm pass; each job's report is then sliced back out of the
- *    merged matrix, byte-identical to what its solo run would return;
  *  - cancellation and deadlines: a queued job cancels instantly; a
- *    running job's cancel sets the engine's cooperative token (the
- *    run aborts at the next cell boundary). Deadlines are enforced
- *    lazily — at dequeue, poll() and wait() — which covers every
- *    observable path without a timer thread;
+ *    running job's cancel sets its engine run's cooperative token
+ *    (the run aborts at the next cell boundary). Deadlines are
+ *    enforced lazily — at dequeue, poll() and wait() — which covers
+ *    every observable path without a timer thread;
  *  - shutdown: draining (finish the queue, reject new submits) or
  *    immediate (cancel everything), both joining the workers.
  *
@@ -42,6 +34,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -79,12 +72,6 @@ class JobQueue
         /** Default per-job deadline from submit time; 0 = none.
          *  A RunSpec::timeout_ms overrides it per request. */
         double default_timeout_ms = 0.0;
-
-        /** Merge compatible queued jobs into one engine run. */
-        bool coalesce = true;
-
-        /** Finished jobs retained for poll(); oldest dropped. */
-        std::size_t max_finished = 256;
     };
 
     enum class State
@@ -101,13 +88,12 @@ class JobQueue
     static const char* stateName(State state);
     static bool isTerminal(State state);
 
-    /** Outcome of a submit: admitted (possibly deduped) or rejected
-     *  with a structured error code. */
+    /** Outcome of a submit: admitted as a new job or rejected with a
+     *  structured error code. */
     struct Submitted
     {
         bool accepted = false;
         std::uint64_t id = 0;
-        bool deduped = false;
         std::string error;    // "queue_full" | "shutting_down"
         std::string message;
     };
@@ -117,10 +103,6 @@ class JobQueue
     {
         std::uint64_t id = 0;
         State state = State::Queued;
-        bool deduped = false;
-
-        /** Other jobs this one shared its engine run with. */
-        int coalesced_with = 0;
 
         double queue_ms = 0.0;    // submit -> dequeue
         double run_ms = 0.0;      // dequeue -> terminal (wall)
@@ -129,13 +111,12 @@ class JobQueue
         double synth_ms = 0.0;    // workload synthesis on misses
         std::uint64_t synth_layers = 0;
 
-        /** Served throughput of THIS job: batch x its own cell count
-         *  / run wall time; set only in state Done. */
+        /** Served throughput: batch x cell count / run wall time; set
+         *  only in state Done. */
         double inferences_per_s = 0.0;
 
-        /** Exact attributed cache counters of the run that served
-         *  this job (shared across coalesced jobs); gauges are the
-         *  cache occupancy after it. */
+        /** Exact attributed cache counters of this job's run; gauges
+         *  are the cache occupancy after it. */
         CompiledCache::Stats cache;
 
         /** Full report document (the `loas_cli run --json` bytes);
@@ -149,8 +130,6 @@ class JobQueue
     struct Counters
     {
         std::uint64_t submitted = 0;
-        std::uint64_t deduped = 0;
-        std::uint64_t coalesced = 0;
         std::uint64_t rejected = 0;
         std::uint64_t done = 0;
         std::uint64_t cancelled = 0;
@@ -181,9 +160,8 @@ class JobQueue
 
     /**
      * Admit a job (resolving and validating the spec now — throws
-     * std::invalid_argument for unknown accelerators/networks), dedup
-     * it against in-flight identical requests, or reject it with
-     * backpressure. Never blocks on simulation work.
+     * std::invalid_argument for unknown accelerators/networks) or
+     * reject it with backpressure. Never blocks on simulation work.
      */
     Submitted submit(const RunSpec& spec);
 
@@ -195,9 +173,8 @@ class JobQueue
      *  cancels it as TimedOut); nullopt for unknown ids. */
     std::optional<Result> wait(std::uint64_t id);
 
-    /** Cancel a queued or running job. On a deduped job this detaches
-     *  one submitter; the job dies with the last one. False: unknown
-     *  or already terminal. */
+    /** Cancel a queued or running job. False: unknown or already
+     *  terminal. */
     bool cancel(std::uint64_t id);
 
     Counters counters() const;
@@ -210,61 +187,28 @@ class JobQueue
     void shutdown(bool drain);
 
   private:
-    struct Group;
-
     struct Job
     {
-        std::uint64_t id = 0;
-        RunSpec spec;
-        SimRequest request;  // resolved at submit; cache/cancel unset
-        std::string dedup_key;
-        std::string coalesce_key;
+        /** What poll() and wait() return: id, state and outcome. */
+        Result result;
 
-        State state = State::Queued;
-        bool deduped = false;
-        int coalesced_with = 0;
+        /** Resolved at submit; its cancel token is `cancel`. */
+        SimRequest request;
 
         std::chrono::steady_clock::time_point enqueued;
         std::chrono::steady_clock::time_point deadline;
         bool has_deadline = false;
 
-        /** Submitters sharing this job via dedup; each cancel()
-         *  detaches one, the last one's cancel kills the job. */
-        std::size_t attached = 1;
-
-        /** Cancel intent of THIS job; the group token aggregates. */
-        bool cancel_requested = false;
-        std::shared_ptr<Group> group;  // while running
-
-        double queue_ms = 0.0;
-        double run_ms = 0.0;
-        double compile_ms = 0.0;
-        double sim_ms = 0.0;
-        double synth_ms = 0.0;
-        std::uint64_t synth_layers = 0;
-        double inferences_per_s = 0.0;
-        CompiledCache::Stats cache;
-        std::shared_ptr<const std::string> report_json;
-        std::string error;
-    };
-
-    /** One merged engine run: its members and the engine token. The
-     *  token trips when every member wants out (each cancel/timeout
-     *  is one vote) or on non-drain shutdown. */
-    struct Group
-    {
-        std::vector<std::shared_ptr<Job>> members;
+        /** The engine run's cooperative token: set by cancel(), a
+         *  passed deadline or a non-drain shutdown while it runs. */
         std::atomic<bool> cancel{false};
-        std::size_t cancel_votes = 0;  // guarded by queue mutex
     };
 
     void workerLoop();
-    Result snapshotLocked(const Job& job) const;
-    void finishLocked(std::shared_ptr<Job> job, State state);
+    void finishLocked(Job& job, State state);
     /** Deadline check; cancels an expired non-terminal job. */
     void enforceDeadlineLocked(const std::shared_ptr<Job>& job);
     void cancelLocked(const std::shared_ptr<Job>& job, State state);
-    void removeQueuedLocked(const std::shared_ptr<Job>& job);
 
     const Config config_;
     CompiledCache* const cache_;
@@ -275,8 +219,6 @@ class JobQueue
     std::condition_variable done_cv_;  // waiters: state changes
     std::deque<std::shared_ptr<Job>> queue_;
     std::unordered_map<std::uint64_t, std::shared_ptr<Job>> jobs_;
-    /** In-flight (queued/running) job per dedup key. */
-    std::unordered_map<std::string, std::shared_ptr<Job>> inflight_;
     std::deque<std::uint64_t> finished_order_;
     Counters counters_;
     std::uint64_t next_id_ = 1;

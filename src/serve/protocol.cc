@@ -13,22 +13,6 @@
 namespace loas {
 namespace serve {
 
-namespace {
-
-/** Join with a separator no spec string can contain. */
-std::string
-joinList(const std::vector<std::string>& items)
-{
-    std::string out;
-    for (const auto& item : items) {
-        out += item;
-        out += '\x1f';
-    }
-    return out;
-}
-
-} // namespace
-
 std::uint64_t
 getUintField(const JsonValue& request, const std::string& key,
              std::uint64_t fallback)
@@ -75,21 +59,6 @@ parseRunSpec(const JsonValue& request)
     if (spec.timeout_ms < 0)
         throw std::invalid_argument("timeout_ms must be >= 0");
     return spec;
-}
-
-std::string
-dedupKey(const RunSpec& spec)
-{
-    return joinList(spec.accels) + "|" + coalesceKey(spec);
-}
-
-std::string
-coalesceKey(const RunSpec& spec)
-{
-    return joinList(spec.networks) + "|s" +
-           std::to_string(spec.seed) + "|b" +
-           std::to_string(spec.batch) +
-           (spec.energy ? "|e1" : "|e0");
 }
 
 SimRequest

@@ -1,7 +1,7 @@
 /**
  * @file
  * Wire protocol of the `loas_cli serve` daemon: newline-delimited JSON
- * over a local stream socket, schema `loas-serve/7`. Every request is
+ * over a local stream socket, schema `loas-serve/8`. Every request is
  * one JSON object on one line, every reply one JSON object on one
  * line; a connection may issue any number of requests sequentially.
  * (serve/2 added the optional "batch" submit field and the
@@ -16,7 +16,10 @@
  * instead of executed — to cache stats. serve/7 added the
  * "result_disk_hits" and "result_disk_writes" counters — records read
  * from and written to the disk level. All are additive; older clients
- * keep working unchanged.)
+ * keep working unchanged. serve/8 removed the "deduped" and
+ * "coalesced_with" reply fields and the "deduped" and "coalesced"
+ * queue counters: every submit is its own job, so clients that read
+ * them with a default of false/0 keep working.)
  *
  * Requests ("cmd" selects one):
  *
@@ -32,18 +35,13 @@
  *       that many independently-seeded inputs per cell. With "wait"
  *       (the default) the reply arrives when the job reaches a
  *       terminal state; with "wait":false the reply acknowledges the
- *       queued job and the client polls.
+ *       queued job and the client polls. Every accepted submit is its
+ *       own job with its own id, deadline and cancel; identical
+ *       requests share work only through the daemon's compiled cache.
  *
  *   {"cmd":"poll",   "id":N}     Job state (+ result when terminal).
  *   {"cmd":"cancel", "id":N}     Cancel a queued or running job.
  *   {"cmd":"stats"}              Queue counters + shared cache stats.
- *
- * Dedup sharing: a submit identical to an in-flight request attaches
- * to that job and replies with the SAME id. The shared job then obeys
- * the least restrictive of its submitters' deadlines (a submitter
- * with no timeout lifts the deadline entirely), and cancels are
- * refcounted — each cancel on the id detaches one submitter, and the
- * job is only actually cancelled when the last one has bowed out.
  *   {"cmd":"version"}            The loas_cli version object.
  *   {"cmd":"shutdown", "drain":true}
  *       Stop the daemon; drain=true finishes queued jobs first.
@@ -118,21 +116,6 @@ RunSpec parseRunSpec(const JsonValue& request);
 std::uint64_t getUintField(const JsonValue& request,
                            const std::string& key,
                            std::uint64_t fallback);
-
-/**
- * Exact-identity key of a request: two submits dedup onto one
- * in-flight job iff their keys are equal (same accel strings in the
- * same order, same networks, seed, batch, energy).
- */
-std::string dedupKey(const RunSpec& spec);
-
-/**
- * Compatibility key for job coalescing: requests with equal coalesce
- * keys (same networks, seed, batch, energy — accelerators free) can
- * merge into one engine run over the union of their accelerator
- * lists, sharing one workload synthesis and one compile pass.
- */
-std::string coalesceKey(const RunSpec& spec);
 
 /**
  * Lower a RunSpec to an engine request: resolve the network list

@@ -351,8 +351,6 @@ Server::handleLine(const std::string& line, bool* shutdown_requested,
                    (drain ? "true" : "false") + "}";
         }
         throw std::invalid_argument("unknown cmd '" + cmd + "'");
-    } catch (const std::invalid_argument& e) {
-        return errorResponse("bad_request", e.what());
     } catch (const std::exception& e) {
         return errorResponse("bad_request", e.what());
     }
@@ -370,9 +368,7 @@ Server::handleSubmit(const JsonValue& request)
         std::string out = "{\"schema\": ";
         out += json::quote(kServeSchema);
         out += ", \"ok\": true, \"id\": " + json::num(submitted.id);
-        out += ", \"state\": \"queued\", \"deduped\": ";
-        out += submitted.deduped ? "true" : "false";
-        out += "}";
+        out += ", \"state\": \"queued\"}";
         return out;
     }
     const auto result = queue_->wait(submitted.id);
@@ -415,8 +411,6 @@ Server::handleStats()
     out += json::quote(kServeSchema);
     out += ", \"ok\": true, \"queue\": {";
     out += "\"submitted\": " + json::num(counters.submitted);
-    out += ", \"deduped\": " + json::num(counters.deduped);
-    out += ", \"coalesced\": " + json::num(counters.coalesced);
     out += ", \"rejected\": " + json::num(counters.rejected);
     out += ", \"done\": " + json::num(counters.done);
     out += ", \"cancelled\": " + json::num(counters.cancelled);
@@ -450,11 +444,6 @@ Server::jobReply(const JobQueue::Result& result) const
     out += ", \"ok\": true, \"id\": " + json::num(result.id);
     out += ", \"state\": ";
     out += json::quote(JobQueue::stateName(result.state));
-    out += ", \"deduped\": ";
-    out += result.deduped ? "true" : "false";
-    out += ", \"coalesced_with\": " +
-           json::num(static_cast<std::uint64_t>(
-               result.coalesced_with < 0 ? 0 : result.coalesced_with));
     if (!result.error.empty()) {
         out += ", \"message\": " + json::quote(result.error);
         // A failed job's exception text is first-class on the wire

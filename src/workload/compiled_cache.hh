@@ -152,9 +152,10 @@ class CompiledCache
 
     /**
      * The compiled layer for `key`: from memory, else from the on-disk
-     * level, else compiled via `compile` (and persisted when a disk
-     * level is attached). Concurrent requests for the same key block
-     * until the one compilation finishes and then share its artifact.
+     * level, else compiled via `compile` (and persisted when
+     * setDiskDir() gave it a disk level). Concurrent requests for the
+     * same key block until the one compilation finishes and then share
+     * its artifact.
      *
      * When `attributed` is given, every counter this call adds to the
      * global stats (hits/misses/disk traffic/evictions/compile_ms) is

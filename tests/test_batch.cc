@@ -225,17 +225,5 @@ TEST(Batch, ProtocolRejectsBatchZero)
                  std::invalid_argument);
 }
 
-TEST(Batch, BatchIsPartOfDedupAndCoalesceKeys)
-{
-    serve::RunSpec a;
-    a.accels = {"loas"};
-    a.networks = {"alexnet-l4"};
-    serve::RunSpec b = a;
-    b.batch = 2;
-    EXPECT_NE(serve::dedupKey(a), serve::dedupKey(b));
-    EXPECT_NE(serve::coalesceKey(a), serve::coalesceKey(b));
-    EXPECT_EQ(serve::dedupKey(a), serve::dedupKey(a));
-}
-
 } // namespace
 } // namespace loas

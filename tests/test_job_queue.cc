@@ -1,10 +1,11 @@
 /**
  * @file
- * Tests for the serve job queue: dedup, coalescing, backpressure,
+ * Tests for the serve job queue: one job per submit, backpressure,
  * cancellation, deadlines and shutdown semantics. Most tests inject a
  * controllable Runner so the concurrency is deterministic — a job
  * "runs" until the test releases it; the last tests use the real
- * SimEngine to pin the once-only-compile and cancellation contracts.
+ * SimEngine to pin the once-only compile and execute through the
+ * shared cache, and the cancellation contract.
  */
 
 #include <gtest/gtest.h>
@@ -54,7 +55,7 @@ struct Gate
 };
 
 /** A fabricated report with one cell per (accel, network) of the
- *  request — enough structure for the queue's slicing to work on. */
+ *  request. */
 SimReport
 fakeReport(const SimRequest& request)
 {
@@ -84,6 +85,15 @@ gatedRunner(std::shared_ptr<Gate> gate)
         return fakeReport(request);
     };
 }
+
+/** Releases a gate on scope exit. Declared after the queue, it lets a
+ *  test that stops at a failed assertion still join the worker its
+ *  gated runner holds. */
+struct ReleaseOnExit
+{
+    std::shared_ptr<Gate> gate;
+    ~ReleaseOnExit() { gate->release(); }
+};
 
 /** Runner that spins until its cancel token trips, like the engine's
  *  cooperative checkpoints do, then aborts. */
@@ -136,106 +146,53 @@ TEST(JobQueue, SubmitValidatesSpecUpFront)
     EXPECT_EQ(queue.counters().submitted, 0u);
 }
 
-TEST(JobQueue, IdenticalInFlightSubmitsDedupOntoOneJob)
+TEST(JobQueue, IdenticalSubmitsAreIndependentJobs)
 {
     auto gate = std::make_shared<Gate>();
     JobQueue queue(testConfig(), nullptr, gatedRunner(gate));
+    const ReleaseOnExit release{gate};
 
-    const auto first = queue.submit(spec("loas", "alexnet-l4"));
-    ASSERT_TRUE(first.accepted);
-    EXPECT_FALSE(first.deduped);
-    gate->waitStarted(1); // the job is RUNNING, still in-flight
+    const auto running = queue.submit(spec("loas"));
+    ASSERT_TRUE(running.accepted);
+    gate->waitStarted(1); // holds the one worker
 
-    const auto second = queue.submit(spec("loas", "alexnet-l4"));
-    ASSERT_TRUE(second.accepted);
-    EXPECT_TRUE(second.deduped);
-    EXPECT_EQ(second.id, first.id);
+    const auto queued = queue.submit(spec("loas"));
+    ASSERT_TRUE(queued.accepted);
+    ASSERT_NE(queued.id, running.id);
+
+    // Cancelling the identical queued job ends that job alone.
+    EXPECT_TRUE(queue.cancel(queued.id));
+    EXPECT_EQ(queue.poll(queued.id).value().state,
+              JobQueue::State::Cancelled);
+    EXPECT_EQ(queue.poll(running.id).value().state,
+              JobQueue::State::Running);
+
+    // So does the deadline of an identical submit.
+    RunSpec timed = spec("loas");
+    timed.timeout_ms = 20;
+    const auto expiring = queue.submit(timed);
+    ASSERT_TRUE(expiring.accepted);
+    ASSERT_NE(expiring.id, running.id);
+    ASSERT_NE(expiring.id, queued.id);
+    const auto expired = queue.wait(expiring.id);
+    ASSERT_TRUE(expired.has_value());
+    EXPECT_EQ(expired->state, JobQueue::State::TimedOut);
+    EXPECT_EQ(queue.poll(running.id).value().state,
+              JobQueue::State::Running);
 
     gate->release();
-    const auto result = queue.wait(first.id);
-    ASSERT_TRUE(result.has_value());
-    EXPECT_EQ(result->state, JobQueue::State::Done);
-    EXPECT_TRUE(result->deduped);
-    ASSERT_NE(result->report_json, nullptr);
+    const auto done = queue.wait(running.id);
+    ASSERT_TRUE(done.has_value());
+    EXPECT_EQ(done->state, JobQueue::State::Done);
+    ASSERT_NE(done->report_json, nullptr);
 
     const auto counters = queue.counters();
-    EXPECT_EQ(counters.submitted, 2u);
-    EXPECT_EQ(counters.deduped, 1u);
+    EXPECT_EQ(counters.submitted, 3u);
     EXPECT_EQ(counters.done, 1u);
-    // One engine run served both submits.
+    EXPECT_EQ(counters.cancelled, 1u);
+    EXPECT_EQ(counters.timed_out, 1u);
+    // Neither ended job reached the runner.
     EXPECT_EQ(gate->started, 1);
-}
-
-TEST(JobQueue, DedupedCancelsAreRefcountedAcrossSubmitters)
-{
-    auto gate = std::make_shared<Gate>();
-    JobQueue queue(testConfig(), nullptr, gatedRunner(gate));
-
-    const auto first = queue.submit(spec("loas"));
-    ASSERT_TRUE(first.accepted);
-    gate->waitStarted(1);
-    const auto second = queue.submit(spec("loas"));
-    ASSERT_TRUE(second.deduped);
-    ASSERT_EQ(second.id, first.id);
-
-    // One of the two submitters bows out: the shared job must keep
-    // running for the other, not die with the first cancel.
-    EXPECT_TRUE(queue.cancel(first.id));
-    const auto polled = queue.poll(first.id);
-    ASSERT_TRUE(polled.has_value());
-    EXPECT_EQ(polled->state, JobQueue::State::Running);
-
-    gate->release();
-    const auto result = queue.wait(first.id);
-    ASSERT_TRUE(result.has_value());
-    EXPECT_EQ(result->state, JobQueue::State::Done);
-    ASSERT_NE(result->report_json, nullptr);
-}
-
-TEST(JobQueue, LastDedupedCancelActuallyCancelsTheJob)
-{
-    auto gate = std::make_shared<Gate>();
-    JobQueue queue(testConfig(), nullptr, cancellableRunner(gate));
-
-    const auto first = queue.submit(spec("loas"));
-    ASSERT_TRUE(first.accepted);
-    gate->waitStarted(1);
-    const auto second = queue.submit(spec("loas"));
-    ASSERT_TRUE(second.deduped);
-
-    EXPECT_TRUE(queue.cancel(first.id)); // detaches one submitter
-    EXPECT_TRUE(queue.cancel(first.id)); // last one: real cancel
-    const auto result = queue.wait(first.id);
-    ASSERT_TRUE(result.has_value());
-    EXPECT_EQ(result->state, JobQueue::State::Cancelled);
-    EXPECT_EQ(queue.counters().cancelled, 1u);
-}
-
-TEST(JobQueue, DedupedSubmitWithoutTimeoutLiftsTheSharedDeadline)
-{
-    auto gate = std::make_shared<Gate>();
-    JobQueue queue(testConfig(), nullptr, gatedRunner(gate));
-
-    RunSpec timed = spec("loas");
-    timed.timeout_ms = 150;
-    const auto first = queue.submit(timed);
-    ASSERT_TRUE(first.accepted);
-    gate->waitStarted(1);
-
-    // Second submitter has no deadline; the shared job obeys the
-    // least restrictive one, so the 150 ms deadline is lifted.
-    const auto second = queue.submit(spec("loas"));
-    ASSERT_TRUE(second.deduped);
-
-    std::this_thread::sleep_for(std::chrono::milliseconds(250));
-    const auto polled = queue.poll(first.id);
-    ASSERT_TRUE(polled.has_value());
-    EXPECT_EQ(polled->state, JobQueue::State::Running);
-
-    gate->release();
-    const auto result = queue.wait(first.id);
-    ASSERT_TRUE(result.has_value());
-    EXPECT_EQ(result->state, JobQueue::State::Done);
 }
 
 TEST(JobQueue, QueueFullSubmitsGetStructuredBackpressure)
@@ -243,7 +200,6 @@ TEST(JobQueue, QueueFullSubmitsGetStructuredBackpressure)
     auto gate = std::make_shared<Gate>();
     JobQueue::Config config = testConfig();
     config.max_depth = 1;
-    config.coalesce = false;
     JobQueue queue(config, nullptr, gatedRunner(gate));
 
     const auto running = queue.submit(spec("a"));
@@ -330,50 +286,6 @@ TEST(JobQueue, DeadlineExpiresQueuedJobAsTimeout)
     queue.wait(running.id);
 }
 
-TEST(JobQueue, CompatibleQueuedJobsCoalesceIntoOneRun)
-{
-    auto gate = std::make_shared<Gate>();
-    JobQueue queue(testConfig(), nullptr, gatedRunner(gate));
-
-    // Hold the worker on an unrelated job while two compatible jobs
-    // (same network/seed/energy, different accels) queue up.
-    const auto blocker = queue.submit(spec("sparten", "vgg16-l8"));
-    gate->waitStarted(1);
-    const auto left = queue.submit(spec("loas", "alexnet-l4"));
-    const auto right = queue.submit(spec("gamma", "alexnet-l4"));
-    ASSERT_NE(left.id, right.id);
-
-    gate->release();
-    const auto left_result = queue.wait(left.id);
-    const auto right_result = queue.wait(right.id);
-    queue.wait(blocker.id);
-
-    ASSERT_TRUE(left_result.has_value() && right_result.has_value());
-    EXPECT_EQ(left_result->state, JobQueue::State::Done);
-    EXPECT_EQ(right_result->state, JobQueue::State::Done);
-    EXPECT_EQ(left_result->coalesced_with, 1);
-    EXPECT_EQ(right_result->coalesced_with, 1);
-    EXPECT_EQ(queue.counters().coalesced, 1u);
-
-    // Two engine runs total: the blocker, then one merged run whose
-    // accel list is the union in submit order.
-    ASSERT_EQ(gate->started, 2);
-    const std::vector<std::string> merged = {"loas", "gamma"};
-    EXPECT_EQ(gate->requests[1].accels, merged);
-
-    // Each job's report holds only its own cells.
-    ASSERT_NE(left_result->report_json, nullptr);
-    ASSERT_NE(right_result->report_json, nullptr);
-    EXPECT_NE(left_result->report_json->find("\"loas\""),
-              std::string::npos);
-    EXPECT_EQ(left_result->report_json->find("\"gamma\""),
-              std::string::npos);
-    EXPECT_NE(right_result->report_json->find("\"gamma\""),
-              std::string::npos);
-    EXPECT_EQ(right_result->report_json->find("\"loas\""),
-              std::string::npos);
-}
-
 TEST(JobQueue, DrainShutdownFinishesQueuedJobsAndRejectsNew)
 {
     JobQueue queue(testConfig(), nullptr,
@@ -430,6 +342,7 @@ TEST(JobQueue, ConcurrentIdenticalRequestsCompileExactlyOnce)
     const auto first = queue.submit(request);
     const auto second = queue.submit(request);
     ASSERT_TRUE(first.accepted && second.accepted);
+    EXPECT_NE(first.id, second.id);
 
     const auto first_result = queue.wait(first.id);
     const auto second_result = queue.wait(second.id);
@@ -438,11 +351,16 @@ TEST(JobQueue, ConcurrentIdenticalRequestsCompileExactlyOnce)
     EXPECT_EQ(first_result->state, JobQueue::State::Done);
     EXPECT_EQ(second_result->state, JobQueue::State::Done);
 
-    // Whether the second submit deduped onto the first job or ran
-    // after it, the shared cache compiled the artifact exactly once.
+    // Two jobs, one compile and one execute, however their runs
+    // interleaved: the shared cache compiled the artifact once, and
+    // the other run replayed the executing run's result record.
     const CompiledCache::Stats stats = cache.stats();
     EXPECT_EQ(stats.misses, 1u);
     EXPECT_EQ(stats.entries, 1u);
+    const CompiledCache::Stats& a = first_result->cache;
+    const CompiledCache::Stats& b = second_result->cache;
+    EXPECT_EQ(a.misses + b.misses, 1u);
+    EXPECT_EQ(a.result_hits + b.result_hits, 1u);
 
     // A warm repeat attributes zero compiles to its own run.
     const auto warm = queue.submit(request);

@@ -472,9 +472,10 @@ TEST(Serve, ConcurrentIdenticalClientsShareOneCompile)
     ASSERT_FALSE(reports[0].empty());
     EXPECT_EQ(reports[0], reports[1]);
     EXPECT_EQ(reports[0], reports[2]);
-    // One compiled-artifact key; however the three submits raced
-    // (dedup, coalesce, or sequential warm runs), it compiled once.
+    // Three jobs on one compiled-artifact key: one compile and one
+    // execute, and the other two runs replay the result record.
     EXPECT_EQ(server.cache.stats().misses, 1u);
+    EXPECT_EQ(server.cache.stats().result_hits, 2u);
 }
 
 /** Tests below arm the process-global fault registry; disarm after. */

@@ -50,11 +50,12 @@
  *   loas_cli serve --socket PATH [--workers N] [--max-depth N] ...
  *       Long-running simulation daemon: accepts concurrent requests
  *       as newline-delimited JSON over a unix socket (schema
- *       loas-serve/7, see src/serve/protocol.hh), runs them through
- *       an async job queue with dedup, coalescing, cancellation and
- *       backpressure, and shares one process-lifetime compiled cache
- *       across every request — a warm daemon serves repeat requests
- *       with zero compiles, replaying layer results it already has.
+ *       loas-serve/8, see src/serve/protocol.hh), runs each as its
+ *       own job through an async queue with deadlines, cancellation
+ *       and backpressure, and shares one process-lifetime compiled
+ *       cache across every request — a warm daemon serves repeat
+ *       requests with zero compiles, replaying layer results it
+ *       already has.
  *       SIGTERM/SIGINT drain and exit cleanly.
  *
  *   loas_cli request --socket PATH [run flags] [--json PATH]
@@ -147,7 +148,7 @@ usage(const char* argv0)
         "           [--network GRIDS] [--seed N]\n"
         "       loas_cli serve --socket PATH [--workers N]\n"
         "           [--engine-threads N] [--max-depth N]\n"
-        "           [--timeout-ms MS] [--no-coalesce] [cache flags]\n"
+        "           [--timeout-ms MS] [cache flags]\n"
         "       loas_cli request --socket PATH [--accel LIST]\n"
         "           [--network LIST] [--seed N] [--batch N]\n"
         "           [--no-energy] [--timeout-ms MS] [--no-wait]\n"
@@ -222,7 +223,6 @@ usage(const char* argv0)
         "  --max-depth N   queued jobs before submits get queue_full\n"
         "                  (default 64)\n"
         "  --timeout-ms MS default per-job deadline (default 0 = none)\n"
-        "  --no-coalesce   never merge compatible jobs into one run\n"
         "\n"
         "request:\n"
         "  --socket PATH   daemon socket to connect to (required)\n"
@@ -1180,8 +1180,8 @@ runBench(int argc, char** argv)
     //    one warm-up submit, then timed sequential requests — every
     //    timed one hits its artifacts and replays its layer results,
     //    so this tracks the serve pipeline overhead (socket round
-    //    trip, queue, report slicing and rendering), not compile or
-    //    execute time.
+    //    trip, queue, report rendering), not compile or execute
+    //    time.
     {
         serve::Server::Config server_config;
         server_config.socket_path = "/tmp/loas-bench-" +
@@ -1457,8 +1457,6 @@ runServe(int argc, char** argv)
         else if (arg == "--timeout-ms")
             config.queue.default_timeout_ms = static_cast<double>(
                 parseUint(arg, args.value(arg)));
-        else if (arg == "--no-coalesce")
-            config.queue.coalesce = false;
         else if (handleIsaFlag(arg, args))
             continue;
         else if (handleCacheFlag(arg, args, cache_flags))
@@ -1615,10 +1613,8 @@ runRequest(int argc, char** argv)
         static_cast<std::uint64_t>(reply.getNumber("id", 0));
     const std::string state = reply.getString("state", "?");
     if (!wait) {
-        std::printf("submitted job %llu (%s%s)\n",
-                    static_cast<unsigned long long>(id), state.c_str(),
-                    reply.getBool("deduped", false) ? ", deduped"
-                                                    : "");
+        std::printf("submitted job %llu (%s)\n",
+                    static_cast<unsigned long long>(id), state.c_str());
         return 0;
     }
     if (state != "done") {
@@ -1637,7 +1633,7 @@ runRequest(int argc, char** argv)
             "job %llu done: queue %.1f ms, run %.1f ms "
             "(synth %.1f ms, compile %.1f ms, sim %.1f ms), cache %g "
             "hits / %g misses / %g result hits / %g result disk hits / "
-            "%g result disk writes%s%s\n",
+            "%g result disk writes\n",
             static_cast<unsigned long long>(id),
             stats->getNumber("queue_ms", 0), stats->getNumber("run_ms", 0),
             stats->getNumber("synth_ms", 0),
@@ -1649,10 +1645,7 @@ runRequest(int argc, char** argv)
             cache != nullptr ? cache->getNumber("result_disk_hits", 0)
                              : 0.0,
             cache != nullptr ? cache->getNumber("result_disk_writes", 0)
-                             : 0.0,
-            reply.getBool("deduped", false) ? ", deduped" : "",
-            reply.getNumber("coalesced_with", 0) > 0 ? ", coalesced"
-                                                     : "");
+                             : 0.0);
     }
     const serve::JsonValue* report = reply.get("report");
     if (report == nullptr || !report->isString()) {
