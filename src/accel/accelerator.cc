@@ -1,43 +1,8 @@
 #include "accel/accelerator.hh"
 
 #include "common/logging.hh"
-#include "common/parallel.hh"
 
 namespace loas {
-
-RunResult
-Accelerator::executeBatch(const CompiledLayer& compiled, int threads,
-                          std::vector<RunResult>* per_input)
-{
-    const std::size_t batch = compiled.batch == 0 ? 1 : compiled.batch;
-    std::vector<RunResult>& slots =
-        per_input != nullptr ? *per_input : batch_slots_;
-    slots.resize(batch);
-
-    // Pre-size every per-worker scratch pool before the parallel
-    // section; the loop body may then only index, never grow.
-    const std::size_t workers =
-        (threads <= 1 || batch <= 1)
-            ? 1
-            : std::min<std::size_t>(static_cast<std::size_t>(threads),
-                                    batch);
-    reserveWorkers(workers);
-
-    parallelForWorkers(batch, threads,
-                       [&](std::size_t worker, std::size_t input) {
-                           slots[input] =
-                               executeInput(compiled, input, worker);
-                       });
-
-    // Deterministic reduction: fixed per-input slots, summed in input
-    // order — the aggregate is bit-identical at any thread count.
-    RunResult total;
-    total.accel = name();
-    total.workload = compiled.spec.name;
-    for (const auto& slot : slots)
-        total += slot;
-    return total;
-}
 
 RunResult
 Accelerator::runLayer(const LayerData& layer)

@@ -15,6 +15,12 @@
  *
  * runLayer() remains as the one-shot convenience (prepare + execute)
  * for harnesses and tests that simulate a layer once.
+ *
+ * An instance runs on one thread at a time: execute() reuses the
+ * backend's scratch members, the way each TPPE owns its join unit and
+ * accumulators. Inputs that run in parallel run on separate instances
+ * (the SimEngine makes one per batch worker; registry.make() is
+ * cheap).
  */
 
 #pragma once
@@ -55,43 +61,33 @@ class Accelerator
 
     /**
      * Phase 2: simulate the datapath over a compiled layer — input 0
-     * of its batch on worker slot 0. Sugar for
-     * executeInput(compiled, 0, 0); every backend implements the one
-     * entry point.
+     * of its batch. Sugar for executeInput(compiled, 0); every backend
+     * implements the one entry point.
      */
     RunResult execute(const CompiledLayer& compiled)
     {
-        return executeInput(compiled, 0, 0);
+        return executeInput(compiled, 0);
     }
 
     /**
-     * Phase 2 over one input of a batched compiled layer. `worker`
-     * selects the scratch pool slot and nothing else — two concurrent
-     * calls are safe iff their worker indices differ and
-     * reserveWorkers() pre-sized the pool. The layer must come from
-     * this design's format family (fatal otherwise).
+     * Phase 2 over one input of a batched compiled layer. The layer
+     * must come from this design's format family, and `input` must be
+     * in range (fatal otherwise).
      */
     virtual RunResult executeInput(const CompiledLayer& compiled,
-                                   std::size_t input,
-                                   std::size_t worker) = 0;
+                                   std::size_t input) = 0;
 
     /**
-     * Pre-size per-worker execute scratch so a batch-level parallel
-     * section never grows the pool concurrently. Called serially by
-     * executeBatch(); default no-op for designs without pools.
+     * executeInput(compiled, input); the third argument is ignored.
+     * The repository benchmark's traced replay (perfbench/) still
+     * calls this older form, and its sources change only together
+     * with the benchmark definition. Nothing else may call it.
      */
-    virtual void reserveWorkers(std::size_t workers) { (void)workers; }
-
-    /**
-     * Phase 2 over EVERY input of a batched compiled layer: a
-     * batch-level parallel loop over per-input fibers with per-worker
-     * scratch, reduced into one aggregate in input order (bit-identical
-     * at any thread count; each input's result lands in a fixed slot).
-     * With `per_input` the per-input results are copied out (resized to
-     * the batch). threads <= 1 runs serially on worker slot 0.
-     */
-    RunResult executeBatch(const CompiledLayer& compiled, int threads,
-                           std::vector<RunResult>* per_input = nullptr);
+    RunResult executeInput(const CompiledLayer& compiled,
+                           std::size_t input, std::size_t /*ignored*/)
+    {
+        return executeInput(compiled, input);
+    }
 
     /** One-shot convenience: prepare + execute. */
     RunResult runLayer(const LayerData& layer);
@@ -111,11 +107,6 @@ class Accelerator
         const std::vector<std::shared_ptr<const LayerResults>>& layers,
         const std::string& workload_name,
         std::vector<RunResult>* per_input = nullptr) const;
-
-  private:
-    /** Reused per-input result slots of executeBatch (steady-state
-     *  batched execution stays allocation-free once warm). */
-    std::vector<RunResult> batch_slots_;
 };
 
 } // namespace loas

@@ -1,5 +1,6 @@
 #include "api/sim_engine.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -101,7 +102,7 @@ SimEngine::run(const SimRequest& request) const
     const std::size_t n_nets = request.networks.size();
     SimReport report;
     report.runs.resize(accels.size() * n_nets);
-    const EnergyModel energy_model(request.energy_params);
+    const EnergyModel energy_model;
 
     // A request-supplied cache outlives (and is shared across) engine
     // runs; otherwise the run gets a private cache configured from the
@@ -110,7 +111,6 @@ SimEngine::run(const SimRequest& request) const
     CompiledCache* cache = request.compiled_cache;
     if (cache == nullptr) {
         cache = &local_cache;
-        local_cache.setByteBudget(request.cache_budget_bytes);
         local_cache.setDiskDir(request.cache_dir);
     }
     // This run's own cache counters, attributed exactly under the
@@ -148,14 +148,14 @@ SimEngine::run(const SimRequest& request) const
     };
 
     // Batched cells parallelize *inside* a cell too, along the input
-    // axis (results stay byte-identical at any split). Splitting the
-    // thread budget across the cell jobs keeps total concurrency at
-    // the requested level.
-    const int batch_threads = std::max<int>(
-        1,
-        threads /
-            static_cast<int>(std::max<std::size_t>(
-                1, report.runs.size())));
+    // axis: each cell splits its share of the thread budget over its
+    // inputs, one accelerator instance per batch worker (an instance
+    // runs on one thread). Each input lands in its fixed slot, so
+    // results are byte-identical at any split.
+    const std::size_t batch_workers = std::clamp<std::size_t>(
+        static_cast<std::size_t>(threads) /
+            std::max<std::size_t>(1, report.runs.size()),
+        1, request.batch);
 
     parallelFor(report.runs.size(), threads, [&](std::size_t i) {
         check_cancelled();
@@ -168,8 +168,11 @@ SimEngine::run(const SimRequest& request) const
         run.accel_spec = accel.spec_string;
         run.network = net.name;
 
-        const auto instance = registry.make(accel.spec);
-        const std::string family = instance->formatFamily();
+        std::vector<std::unique_ptr<Accelerator>> instances;
+        for (std::size_t w = 0; w < batch_workers; ++w)
+            instances.push_back(registry.make(accel.spec));
+        const Accelerator& instance = *instances.front();
+        const std::string family = instance.formatFamily();
         const std::string design = accel.spec.str(); // keys its records
         const std::vector<LayerData>* layers = nullptr;
         const std::size_t n_layers = net.layers.size();
@@ -182,8 +185,12 @@ SimEngine::run(const SimRequest& request) const
         for (std::size_t l = 0; l < n_layers; ++l) {
             const auto execute = [&](const CompiledLayer& compiled) {
                 const auto t_exec = Clock::now();
-                LayerResults inputs;
-                instance->executeBatch(compiled, batch_threads, &inputs);
+                LayerResults inputs(compiled.batch);
+                parallelForWorkers(
+                    inputs.size(), static_cast<int>(instances.size()),
+                    [&](std::size_t w, std::size_t b) {
+                        inputs[b] = instances[w]->executeInput(compiled, b);
+                    });
                 sim_ns += elapsed_ns(t_exec);
                 return inputs;
             };
@@ -191,13 +198,13 @@ SimEngine::run(const SimRequest& request) const
                 compiledLayerKey(net.name, l, accel.ft_workload, family,
                                  net.layers[l].t, request.seed,
                                  request.batch),
-                design, [&] { return instance->prepare((*layers)[l]); },
+                design, [&] { return instance.prepare((*layers)[l]); },
                 execute, &attributed,
                 [&] { layers = synthesize(n, accel.ft_workload); }));
         }
         std::vector<RunResult>* per_input =
             request.batch > 1 ? &run.per_input : nullptr;
-        run.result = instance->reduceNetwork(results, net.name, per_input);
+        run.result = instance.reduceNetwork(results, net.name, per_input);
     });
 
     // Energy is a pure function of each cell's RunResult, so it is

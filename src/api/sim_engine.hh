@@ -25,8 +25,13 @@
  * request on a shared cache, or a new process over a warm disk level,
  * executes nothing and reports the same bytes.
  *
- * Results are deterministic: each cell is simulated on a private
- * accelerator instance from seeded inputs and written to its fixed
+ * The engine alone spends the thread budget. Cells share `threads`,
+ * and a batched cell splits its share over its inputs: it makes one
+ * accelerator instance per batch worker (an instance runs on one
+ * thread) and worker w executes its inputs on instance w.
+ *
+ * Results are deterministic: every cell runs on private instances
+ * from seeded inputs, and each input's result lands in its fixed
  * slot, so a run with N worker threads is bit-identical to the serial
  * run of the same request.
  */
@@ -67,11 +72,8 @@ struct SimRequest
      */
     std::size_t batch = 1;
 
-    /** Also evaluate the energy model on every result. */
+    /** Also evaluate the default energy model on every result. */
     bool energy = true;
-
-    /** Per-op energies used when `energy` is set. */
-    EnergyParams energy_params;
 
     /**
      * Worker threads: 1 = serial in the calling thread, 0 = one per
@@ -82,14 +84,11 @@ struct SimRequest
     /**
      * External compiled-workload cache, typically
      * &CompiledCache::process() so artifacts persist across engine
-     * runs. Null (the default) gives the run a private cache, scoped
-     * and configured by the two fields below. The caller owns an
+     * runs. Null (the default) gives the run a private cache, with no
+     * byte budget and the disk level below. The caller owns an
      * external cache's configuration; the engine only uses it.
      */
     CompiledCache* compiled_cache = nullptr;
-
-    /** Private cache's in-memory byte budget (0 = unlimited). */
-    std::uint64_t cache_budget_bytes = 0;
 
     /** Private cache's on-disk level directory ("" = none). */
     std::string cache_dir;

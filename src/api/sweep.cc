@@ -199,10 +199,8 @@ SweepEngine::run(const SweepRequest& request) const
     sim.seed = request.seed;
     sim.batch = request.batch;
     sim.energy = request.energy;
-    sim.energy_params = request.energy_params;
     sim.threads = request.threads;
     sim.compiled_cache = request.compiled_cache;
-    sim.cache_budget_bytes = request.cache_budget_bytes;
     sim.cache_dir = request.cache_dir;
     const SimReport sim_report = SimEngine().run(sim);
     report.compile_cache = sim_report.compile_cache;

@@ -61,15 +61,11 @@ struct SweepRequest
     /** Evaluate the energy model (enables energy_gain/EDP columns). */
     bool energy = true;
 
-    /** Per-op energies used when `energy` is set. */
-    EnergyParams energy_params;
-
     /** Worker threads (SimRequest passthrough; 0 = one per core). */
     int threads = 0;
 
     /** Compiled-cache wiring (SimRequest passthrough, see there). */
     CompiledCache* compiled_cache = nullptr;
-    std::uint64_t cache_budget_bytes = 0;
     std::string cache_dir;
 };
 

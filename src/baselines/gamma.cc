@@ -119,23 +119,15 @@ GammaSim::prepare(const LayerData& layer) const
                              bytes);
 }
 
-void
-GammaSim::reserveWorkers(std::size_t workers)
-{
-    if (scratch_.size() < workers)
-        scratch_.resize(workers);
-}
-
 RunResult
-GammaSim::executeInput(const CompiledLayer& compiled, std::size_t input,
-                       std::size_t worker)
+GammaSim::executeInput(const CompiledLayer& compiled, std::size_t input)
 {
     if (compiled.family == kAnnFamily) {
         if (input != 0)
             fatal("layer '%s': ANN compiled layers carry one input, "
                   "got %zu",
                   compiled.spec.name.c_str(), input);
-        return executeAnn(compiled, worker);
+        return executeAnn(compiled);
     }
     const auto& art = artifactAs<GammaCompiled>(compiled, formatFamily());
     if (input >= art.cols.size())
@@ -150,17 +142,9 @@ GammaSim::executeInput(const CompiledLayer& compiled, std::size_t input,
     const double weight_density = art.weight_density;
     const auto& fibers_b = art.b.fibers;
 
-    // Serial-context growth only; batch-parallel callers pre-size the
-    // pool through reserveWorkers() before fanning out.
-    if (worker >= scratch_.size())
-        scratch_.resize(worker + 1);
-    ExecuteScratch& scratch = scratch_[worker];
-
-    if (!scratch.mem)
-        scratch.mem.emplace(config_.cache, config_.dram);
-    else
-        scratch.mem->reset();
-    MemorySystem& mem = *scratch.mem;
+    ExecuteScratch& scratch = scratch_;
+    MemorySystem& mem =
+        coldMemory(scratch.mem, config_.cache, config_.dram);
 
     RunResult result;
     result.accel = name();
@@ -318,7 +302,7 @@ GammaSim::prepareAnn(const AnnLayerData& layer) const
 }
 
 RunResult
-GammaSim::executeAnn(const CompiledLayer& compiled, std::size_t worker)
+GammaSim::executeAnn(const CompiledLayer& compiled)
 {
     const auto& art = artifactAs<GammaAnnCompiled>(compiled, kAnnFamily);
     const std::size_t m = compiled.m;
@@ -327,16 +311,9 @@ GammaSim::executeAnn(const CompiledLayer& compiled, std::size_t worker)
     const double weight_density = art.weight_density;
     const auto& fibers_b = art.b.fibers;
 
-    // Serial-context growth only; batch-parallel callers pre-size the
-    // pool through reserveWorkers() before fanning out.
-    if (worker >= scratch_.size())
-        scratch_.resize(worker + 1);
-    ExecuteScratch& scratch = scratch_[worker];
-    if (!scratch.mem)
-        scratch.mem.emplace(config_.cache, config_.dram);
-    else
-        scratch.mem->reset();
-    MemorySystem& mem = *scratch.mem;
+    ExecuteScratch& scratch = scratch_;
+    MemorySystem& mem =
+        coldMemory(scratch.mem, config_.cache, config_.dram);
 
     RunResult result;
     result.accel = "Gamma-ANN";

@@ -102,10 +102,7 @@ class GammaSim : public Accelerator
     CompiledLayer prepare(const LayerData& layer) const override;
 
     RunResult executeInput(const CompiledLayer& compiled,
-                           std::size_t input,
-                           std::size_t worker) override;
-
-    void reserveWorkers(std::size_t workers) override;
+                           std::size_t input) override;
 
     /** Format family of prepareAnn() artifacts. */
     static constexpr const char* kAnnFamily = "gamma-ann";
@@ -123,17 +120,16 @@ class GammaSim : public Accelerator
     GammaConfig config_;
 
     /** The original Gamma datapath over a prepared ANN layer. */
-    RunResult executeAnn(const CompiledLayer& compiled,
-                         std::size_t worker);
+    RunResult executeAnn(const CompiledLayer& compiled);
 
-    /** Reusable per-worker execute() working state (see
+    /** Reusable execute() working state (see
      *  LoasSim::ExecuteScratch). */
     struct ExecuteScratch
     {
         std::optional<MemorySystem> mem;
         std::vector<bool> fetched;  // one flag per B row
     };
-    std::vector<ExecuteScratch> scratch_;
+    ExecuteScratch scratch_;
 };
 
 } // namespace loas

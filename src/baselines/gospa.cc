@@ -73,16 +73,8 @@ GospaSim::prepare(const LayerData& layer) const
                              bytes);
 }
 
-void
-GospaSim::reserveWorkers(std::size_t workers)
-{
-    if (mem_scratch_.size() < workers)
-        mem_scratch_.resize(workers);
-}
-
 RunResult
-GospaSim::executeInput(const CompiledLayer& compiled, std::size_t input,
-                       std::size_t worker)
+GospaSim::executeInput(const CompiledLayer& compiled, std::size_t input)
 {
     const auto& art = artifactAs<GospaCompiled>(compiled, formatFamily());
     if (input >= art.col_spikes.size())
@@ -98,16 +90,7 @@ GospaSim::executeInput(const CompiledLayer& compiled, std::size_t input,
     const auto& b_meta_off = art.b.meta_off;
     const auto& b_val_off = art.b.val_off;
 
-    // Serial-context growth only; batch-parallel callers pre-size the
-    // pool through reserveWorkers() before fanning out.
-    if (worker >= mem_scratch_.size())
-        mem_scratch_.resize(worker + 1);
-    std::optional<MemorySystem>& mem_scratch = mem_scratch_[worker];
-    if (!mem_scratch)
-        mem_scratch.emplace(config_.cache, config_.dram);
-    else
-        mem_scratch->reset();
-    MemorySystem& mem = *mem_scratch;
+    MemorySystem& mem = coldMemory(mem_, config_.cache, config_.dram);
 
     RunResult result;
     result.accel = name();

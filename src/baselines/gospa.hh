@@ -88,10 +88,7 @@ class GospaSim : public Accelerator
     CompiledLayer prepare(const LayerData& layer) const override;
 
     RunResult executeInput(const CompiledLayer& compiled,
-                           std::size_t input,
-                           std::size_t worker) override;
-
-    void reserveWorkers(std::size_t workers) override;
+                           std::size_t input) override;
 
     /** Partial-sum DRAM traffic of input 0 of the last layer (Fig. 5). */
     std::uint64_t lastPsumDramBytes() const { return last_psum_dram_; }
@@ -100,9 +97,9 @@ class GospaSim : public Accelerator
     GospaConfig config_;
     std::uint64_t last_psum_dram_ = 0;
 
-    /** Reusable per-worker execute() working state (see
+    /** Reusable execute() memory model (see
      *  LoasSim::ExecuteScratch). */
-    std::vector<std::optional<MemorySystem>> mem_scratch_;
+    std::optional<MemorySystem> mem_;
 };
 
 } // namespace loas

@@ -67,23 +67,15 @@ SpartenSim::prepare(const LayerData& layer) const
                              bytes);
 }
 
-void
-SpartenSim::reserveWorkers(std::size_t workers)
-{
-    if (scratch_.size() < workers)
-        scratch_.resize(workers);
-}
-
 RunResult
-SpartenSim::executeInput(const CompiledLayer& compiled,
-                         std::size_t input, std::size_t worker)
+SpartenSim::executeInput(const CompiledLayer& compiled, std::size_t input)
 {
     if (compiled.family == kAnnFamily) {
         if (input != 0)
             fatal("layer '%s': ANN compiled layers carry one input, "
                   "got %zu",
                   compiled.spec.name.c_str(), input);
-        return executeAnn(compiled, worker);
+        return executeAnn(compiled);
     }
     const auto& art =
         artifactAs<SpartenCompiled>(compiled, formatFamily());
@@ -103,17 +95,9 @@ SpartenSim::executeInput(const CompiledLayer& compiled,
     const auto& b_meta_off = art.b.meta_off;
     const auto& b_val_off = art.b.val_off;
 
-    // Serial-context growth only; batch-parallel callers pre-size the
-    // pool through reserveWorkers() before fanning out.
-    if (worker >= scratch_.size())
-        scratch_.resize(worker + 1);
-    ExecuteScratch& scratch = scratch_[worker];
-
-    if (!scratch.mem)
-        scratch.mem.emplace(config_.cache, config_.dram);
-    else
-        scratch.mem->reset();
-    MemorySystem& mem = *scratch.mem;
+    ExecuteScratch& scratch = scratch_;
+    MemorySystem& mem =
+        coldMemory(scratch.mem, config_.cache, config_.dram);
     const Scheduler scheduler(m, n, config_.num_pes);
 
     RunResult result;
@@ -278,7 +262,7 @@ SpartenSim::prepareAnn(const AnnLayerData& layer) const
 }
 
 RunResult
-SpartenSim::executeAnn(const CompiledLayer& compiled, std::size_t worker)
+SpartenSim::executeAnn(const CompiledLayer& compiled)
 {
     const auto& art = artifactAs<SpartenAnnCompiled>(compiled, kAnnFamily);
     const std::size_t m = compiled.m;
@@ -293,16 +277,9 @@ SpartenSim::executeAnn(const CompiledLayer& compiled, std::size_t worker)
     const auto& b_meta_off = art.b.meta_off;
     const auto& b_val_off = art.b.val_off;
 
-    // Serial-context growth only; batch-parallel callers pre-size the
-    // pool through reserveWorkers() before fanning out.
-    if (worker >= scratch_.size())
-        scratch_.resize(worker + 1);
-    ExecuteScratch& scratch = scratch_[worker];
-    if (!scratch.mem)
-        scratch.mem.emplace(config_.cache, config_.dram);
-    else
-        scratch.mem->reset();
-    MemorySystem& mem = *scratch.mem;
+    ExecuteScratch& scratch = scratch_;
+    MemorySystem& mem =
+        coldMemory(scratch.mem, config_.cache, config_.dram);
     const Scheduler scheduler(m, n, config_.num_pes);
 
     RunResult result;

@@ -138,10 +138,7 @@ class SpartenSim : public Accelerator
     CompiledLayer prepare(const LayerData& layer) const override;
 
     RunResult executeInput(const CompiledLayer& compiled,
-                           std::size_t input,
-                           std::size_t worker) override;
-
-    void reserveWorkers(std::size_t workers) override;
+                           std::size_t input) override;
 
     /** Format family of prepareAnn() artifacts. */
     static constexpr const char* kAnnFamily = "sparten-ann";
@@ -163,10 +160,9 @@ class SpartenSim : public Accelerator
     SpikeTensor last_output_;
 
     /** The original SparTen datapath over a prepared ANN layer. */
-    RunResult executeAnn(const CompiledLayer& compiled,
-                         std::size_t worker);
+    RunResult executeAnn(const CompiledLayer& compiled);
 
-    /** Reusable per-worker execute() working state (see
+    /** Reusable execute() working state (see
      *  LoasSim::ExecuteScratch). */
     struct ExecuteScratch
     {
@@ -175,7 +171,7 @@ class SpartenSim : public Accelerator
         std::vector<std::int64_t> correction;  // collapse-path scratch
         std::vector<WorkItem> items;     // current wave
     };
-    std::vector<ExecuteScratch> scratch_;
+    ExecuteScratch scratch_;
 };
 
 } // namespace loas

@@ -94,28 +94,6 @@ SystolicBase::formatFamily() const
     return "systolic";
 }
 
-void
-SystolicBase::reserveWorkers(std::size_t workers)
-{
-    if (mem_scratch_.size() < workers)
-        mem_scratch_.resize(workers);
-}
-
-MemorySystem&
-SystolicBase::scratchMem(std::size_t worker)
-{
-    // Serial-context growth only; batch-parallel callers pre-size the
-    // pool through reserveWorkers() before fanning out.
-    if (worker >= mem_scratch_.size())
-        mem_scratch_.resize(worker + 1);
-    std::optional<MemorySystem>& mem = mem_scratch_[worker];
-    if (!mem)
-        mem.emplace(config_.cache, config_.dram);
-    else
-        mem->reset();
-    return *mem;
-}
-
 CompiledLayer
 SystolicBase::prepare(const LayerData& layer) const
 {
@@ -164,13 +142,12 @@ PtbSim::name() const
 }
 
 RunResult
-PtbSim::executeInput(const CompiledLayer& compiled, std::size_t input,
-                     std::size_t worker)
+PtbSim::executeInput(const CompiledLayer& compiled, std::size_t input)
 {
     const auto& art =
         artifactAs<SystolicCompiled>(compiled, formatFamily());
     const LayerShape s = analyze(compiled, art, config_.rows, input);
-    MemorySystem& mem = scratchMem(worker);
+    MemorySystem& mem = coldMemory(mem_, config_.cache, config_.dram);
     // Dense dispatch: every (m, k) position, every timestep column.
     const std::uint64_t element_steps =
         s.n_tiles * static_cast<std::uint64_t>(s.m) * s.k *
@@ -220,13 +197,12 @@ StellarSim::name() const
 }
 
 RunResult
-StellarSim::executeInput(const CompiledLayer& compiled,
-                         std::size_t input, std::size_t worker)
+StellarSim::executeInput(const CompiledLayer& compiled, std::size_t input)
 {
     const auto& art =
         artifactAs<SystolicCompiled>(compiled, formatFamily());
     const LayerShape s = analyze(compiled, art, config_.rows, input);
-    MemorySystem& mem = scratchMem(worker);
+    MemorySystem& mem = coldMemory(mem_, config_.cache, config_.dram);
     // Spike-gated dispatch: only actual spikes enter the array.
     const std::uint64_t element_steps = s.n_tiles * s.spikes;
     chargeCommonTraffic(mem, s, element_steps);

@@ -55,17 +55,13 @@ class SystolicBase : public Accelerator
     explicit SystolicBase(const SystolicConfig& config);
     std::string formatFamily() const override;
     CompiledLayer prepare(const LayerData& layer) const override;
-    void reserveWorkers(std::size_t workers) override;
 
   protected:
-    /** Reusable per-worker execute() memory model (see
-     *  LoasSim::ExecuteScratch). */
-    MemorySystem& scratchMem(std::size_t worker);
-
     SystolicConfig config_;
 
-  private:
-    std::vector<std::optional<MemorySystem>> mem_scratch_;
+    /** Reusable execute() memory model (see
+     *  LoasSim::ExecuteScratch). */
+    std::optional<MemorySystem> mem_;
 };
 
 /** PTB: partially temporal-parallel systolic array. */
@@ -75,8 +71,7 @@ class PtbSim : public SystolicBase
     explicit PtbSim(const SystolicConfig& config = {});
     std::string name() const override;
     RunResult executeInput(const CompiledLayer& compiled,
-                           std::size_t input,
-                           std::size_t worker) override;
+                           std::size_t input) override;
 };
 
 /** Stellar: fully temporal-parallel FS-neuron systolic array. */
@@ -86,8 +81,7 @@ class StellarSim : public SystolicBase
     explicit StellarSim(const SystolicConfig& config = {});
     std::string name() const override;
     RunResult executeInput(const CompiledLayer& compiled,
-                           std::size_t input,
-                           std::size_t worker) override;
+                           std::size_t input) override;
 };
 
 } // namespace loas

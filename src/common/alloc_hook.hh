@@ -1,10 +1,11 @@
 /**
  * @file
- * Heap-allocation counter for the kernel benchmarks: a replacement
- * global operator new/delete pair that counts every allocation. The
- * defining translation unit (alloc_hook.cc) is linked ONLY into the
- * binaries that measure allocations (loas_cli, micro_kernels) — it is
- * deliberately excluded from loas_core so library consumers and tests
+ * Heap-allocation counter for the zero-allocation checks: a
+ * replacement global operator new/delete pair that counts every
+ * allocation. The defining translation unit (alloc_hook.cc) is linked
+ * ONLY into the binaries that measure allocations (loas_cli,
+ * micro_kernels and the test_alloc_steady ctest) — it is deliberately
+ * excluded from loas_core so library consumers and the other tests
  * keep the toolchain allocator untouched.
  */
 

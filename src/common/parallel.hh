@@ -28,7 +28,8 @@ namespace loas {
  * Jobs are still pulled off one atomic counter, so the job->worker
  * assignment is nondeterministic — callers must write results into
  * per-JOB slots and use the worker index only for scratch reuse.
- * The batch execute path uses it for per-worker ExecuteScratch pools.
+ * The SimEngine's batch fan-out runs worker w on accelerator
+ * instance w.
  */
 template <typename Body>
 void

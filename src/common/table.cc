@@ -53,12 +53,6 @@ TextTable::str() const
     return os.str();
 }
 
-void
-TextTable::print(std::ostream& os) const
-{
-    os << str();
-}
-
 std::string
 TextTable::fmt(double v, int precision)
 {

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -25,9 +24,6 @@ class TextTable
 
     /** Render the table (headers, rule, rows). */
     std::string str() const;
-
-    /** Convenience: render to a stream. */
-    void print(std::ostream& os) const;
 
     /** Format a double with fixed precision. */
     static std::string fmt(double v, int precision = 2);

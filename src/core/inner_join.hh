@@ -114,7 +114,7 @@ struct JoinScratch
 /**
  * Working state of the wave join: the loaded spike tile, transposed so
  * that one aligned 64-byte load gives a value for all 16 lanes, and one
- * JoinResult per lane. One instance per execute worker; after the first
+ * JoinResult per lane. One per accelerator instance; after the first
  * tile of the largest layer its buffers are warm and steady-state wave
  * joins perform no heap allocations.
  */

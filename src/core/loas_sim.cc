@@ -67,16 +67,8 @@ LoasSim::prepare(const LayerData& layer) const
                              bytes);
 }
 
-void
-LoasSim::reserveWorkers(std::size_t workers)
-{
-    if (scratch_.size() < workers)
-        scratch_.resize(workers);
-}
-
 RunResult
-LoasSim::executeInput(const CompiledLayer& compiled, std::size_t input,
-                      std::size_t worker)
+LoasSim::executeInput(const CompiledLayer& compiled, std::size_t input)
 {
     const auto& art = artifactAs<LoasCompiled>(compiled, formatFamily());
     if (input >= art.a.size())
@@ -100,17 +92,9 @@ LoasSim::executeInput(const CompiledLayer& compiled, std::size_t input,
     const auto& b_meta_off = art.b.meta_off;
     const auto& b_val_off = art.b.val_off;
 
-    // Serial-context growth only; batch-parallel callers pre-size the
-    // pool through reserveWorkers() before fanning out.
-    if (worker >= scratch_.size())
-        scratch_.resize(worker + 1);
-    ExecuteScratch& scratch = scratch_[worker];
-
-    if (!scratch.mem)
-        scratch.mem.emplace(config_.cache, config_.dram);
-    else
-        scratch.mem->reset();
-    MemorySystem& mem = *scratch.mem;
+    ExecuteScratch& scratch = scratch_;
+    MemorySystem& mem =
+        coldMemory(scratch.mem, config_.cache, config_.dram);
     const InnerJoinUnit join_unit(config_.join, timesteps,
                                   config_.cache.line_bytes);
     const Plif plif(config_.lif, timesteps);

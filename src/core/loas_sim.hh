@@ -56,10 +56,7 @@ class LoasSim : public Accelerator
     CompiledLayer prepare(const LayerData& layer) const override;
 
     RunResult executeInput(const CompiledLayer& compiled,
-                           std::size_t input,
-                           std::size_t worker) override;
-
-    void reserveWorkers(std::size_t workers) override;
+                           std::size_t input) override;
 
     /**
      * Output spike tensor of input 0 of the last simulated layer,
@@ -76,12 +73,10 @@ class LoasSim : public Accelerator
     SpikeTensor last_output_;
 
     /**
-     * Reusable working state of one execute worker. An accelerator
-     * instance is driven by one thread at a time per worker slot (the
-     * SimEngine gives each job a private instance; executeBatch hands
-     * each batch worker its own slot), so the buffers warm up on the
-     * first layer and steady-state execution performs no heap
-     * allocations.
+     * Reusable working state of execute(). An instance runs on one
+     * thread at a time (the SimEngine gives each batch worker its own
+     * instance), so the buffers warm up on the first layer and
+     * steady-state execution performs no heap allocations.
      */
     struct ExecuteScratch
     {
@@ -92,7 +87,7 @@ class LoasSim : public Accelerator
         std::vector<WorkItem> items;     // current wave
         CompressResult compress;
     };
-    std::vector<ExecuteScratch> scratch_;
+    ExecuteScratch scratch_;
 };
 
 } // namespace loas

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 
 #include "mem/cache.hh"
 #include "mem/traffic.hh"
@@ -85,5 +86,20 @@ class MemorySystem
     DramConfig dram_;
     TrafficStats stats_;
 };
+
+/**
+ * The memory system of one execute(), cold: built on first use, then
+ * reset() — never reallocated — on every later execute.
+ */
+inline MemorySystem&
+coldMemory(std::optional<MemorySystem>& mem, const CacheConfig& cache,
+           const DramConfig& dram)
+{
+    if (mem)
+        mem->reset();
+    else
+        mem.emplace(cache, dram);
+    return *mem;
+}
 
 } // namespace loas

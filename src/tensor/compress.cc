@@ -91,16 +91,6 @@ compressWeightRow(const DenseMatrix<std::int8_t>& weights, std::size_t row)
     return fiber;
 }
 
-std::vector<WeightFiber>
-compressWeightRows(const DenseMatrix<std::int8_t>& weights)
-{
-    std::vector<WeightFiber> fibers;
-    fibers.reserve(weights.rows());
-    for (std::size_t r = 0; r < weights.rows(); ++r)
-        fibers.push_back(compressWeightRow(weights, r));
-    return fibers;
-}
-
 DenseMatrix<std::int8_t>
 decompressWeightColumns(const std::vector<WeightFiber>& fibers,
                         std::size_t rows)
@@ -121,15 +111,6 @@ spikeFiberBytes(const std::vector<SpikeFiber>& fibers, int timesteps)
     std::size_t bytes = 0;
     for (const auto& fiber : fibers)
         bytes += fiber.storageBytes(timesteps);
-    return bytes;
-}
-
-std::size_t
-weightFiberBytes(const std::vector<WeightFiber>& fibers)
-{
-    std::size_t bytes = 0;
-    for (const auto& fiber : fibers)
-        bytes += fiber.storageBytes();
     return bytes;
 }
 

@@ -37,10 +37,6 @@ compressWeightColumns(const DenseMatrix<std::int8_t>& weights);
 WeightFiber compressWeightRow(const DenseMatrix<std::int8_t>& weights,
                               std::size_t row);
 
-/** Compress every row of B. */
-std::vector<WeightFiber>
-compressWeightRows(const DenseMatrix<std::int8_t>& weights);
-
 /** Reconstruct B from column fibers (round-trip testing). */
 DenseMatrix<std::int8_t>
 decompressWeightColumns(const std::vector<WeightFiber>& fibers,
@@ -49,9 +45,6 @@ decompressWeightColumns(const std::vector<WeightFiber>& fibers,
 /** Total storage of all spike fibers of A, in bytes. */
 std::size_t spikeFiberBytes(const std::vector<SpikeFiber>& fibers,
                             int timesteps);
-
-/** Total storage of all weight fibers, in bytes. */
-std::size_t weightFiberBytes(const std::vector<WeightFiber>& fibers);
 
 /**
  * Compression efficiency as defined in Section IV-A: raw spike bits that

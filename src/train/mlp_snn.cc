@@ -417,12 +417,6 @@ MlpSnn::maskLowActivityHidden(const Dataset& calib, int max_spikes,
     return masked;
 }
 
-void
-MlpSnn::clearNeuronMask()
-{
-    std::fill(neuron_mask_.begin(), neuron_mask_.end(), 1);
-}
-
 SpikeActivityStats
 MlpSnn::hiddenActivity(const Dataset& data) const
 {

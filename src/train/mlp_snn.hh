@@ -79,9 +79,6 @@ class MlpSnn
                                       int max_spikes = 1,
                                       double tolerance = 0.05);
 
-    /** Remove the neuron mask. */
-    void clearNeuronMask();
-
     /** Firing statistics of the hidden spike layer on a dataset. */
     SpikeActivityStats hiddenActivity(const Dataset& data) const;
 

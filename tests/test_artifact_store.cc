@@ -351,8 +351,10 @@ executedResults(const std::string& design, std::uint64_t seed)
     const bool ft = registry.entry(parseAccelSpec(design).key).ft_workload;
     const LayerData layer = generateLayer(oddLayer(), seed, ft, 2);
     const auto instance = registry.make(design);
+    const CompiledLayer compiled = instance->prepare(layer);
     LayerResults results;
-    instance->executeBatch(instance->prepare(layer), 1, &results);
+    for (std::size_t b = 0; b < compiled.batch; ++b)
+        results.push_back(instance->executeInput(compiled, b));
     return results;
 }
 

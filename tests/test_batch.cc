@@ -8,8 +8,8 @@
  *  2. Batch-prefix property: input b is the same tensor (and the same
  *     RunResult) whatever the total batch size, so input 0 of any
  *     batch equals the batch=1 run.
- *  3. executeBatch is thread-count invariant: aggregate and per-input
- *     results are bit-identical at any thread count.
+ *  3. The engine's batch fan-out is thread-count invariant: aggregate
+ *     and per-input results are bit-identical at any thread count.
  *  4. The serve protocol round-trips "batch" (serve/2) and old
  *     clients that omit it get batch 1 (serve/1 behavior).
  */
@@ -114,7 +114,8 @@ TEST(Batch, InputZeroMatchesBatchOneExecution)
             batched->prepare(generateLayer(spec, 101, ft, 4));
         EXPECT_EQ(c4.batch, 4u);
         std::vector<RunResult> per_input;
-        batched->executeBatch(c4, 1, &per_input);
+        for (std::size_t b = 0; b < c4.batch; ++b)
+            per_input.push_back(batched->executeInput(c4, b));
         ASSERT_EQ(per_input.size(), 4u);
         expectSameResult(per_input[0], solo);
     }
@@ -122,31 +123,24 @@ TEST(Batch, InputZeroMatchesBatchOneExecution)
 
 // --- 3. Thread-count invariance --------------------------------------
 
-TEST(Batch, ExecuteBatchIsThreadCountInvariant)
+TEST(Batch, EngineBatchIsThreadCountInvariant)
 {
-    const auto& registry = AcceleratorRegistry::instance();
-    const LayerSpec spec = tables::alexnetL4();
-    for (const auto& key : registry.keys()) {
+    // One batch-3 cell: at 4 threads the engine gives the cell's whole
+    // share to its batch and runs three instances, one per input.
+    for (const auto& key : AcceleratorRegistry::instance().keys()) {
         SCOPED_TRACE(key);
-        const bool ft = registry.entry(key).ft_workload;
-        const LayerData layer = generateLayer(spec, 101, ft, 3);
+        SimRequest request;
+        request.accels = {key};
+        request.networks = {{"alexnet-l4", {tables::alexnetL4()}}};
+        request.batch = 3;
+        request.threads = 1;
+        const SimReport serial = SimEngine().run(request);
+        request.threads = 4;
+        const SimReport threaded = SimEngine().run(request);
 
-        const auto serial = registry.make(key);
-        const CompiledLayer compiled = serial->prepare(layer);
-        std::vector<RunResult> serial_inputs;
-        const RunResult serial_agg =
-            serial->executeBatch(compiled, 1, &serial_inputs);
-
-        const auto threaded = registry.make(key);
-        const CompiledLayer compiled2 = threaded->prepare(layer);
-        std::vector<RunResult> threaded_inputs;
-        const RunResult threaded_agg =
-            threaded->executeBatch(compiled2, 4, &threaded_inputs);
-
-        expectSameResult(serial_agg, threaded_agg);
-        ASSERT_EQ(serial_inputs.size(), threaded_inputs.size());
-        for (std::size_t b = 0; b < serial_inputs.size(); ++b)
-            expectSameResult(serial_inputs[b], threaded_inputs[b]);
+        ASSERT_EQ(threaded.runs.size(), 1u);
+        EXPECT_EQ(threaded.runs[0].per_input.size(), 3u);
+        EXPECT_EQ(json::toJson(threaded), json::toJson(serial));
     }
 }
 

@@ -201,6 +201,7 @@ TEST(JobQueue, QueueFullSubmitsGetStructuredBackpressure)
     JobQueue::Config config = testConfig();
     config.max_depth = 1;
     JobQueue queue(config, nullptr, gatedRunner(gate));
+    const ReleaseOnExit release{gate};
 
     const auto running = queue.submit(spec("a"));
     ASSERT_TRUE(running.accepted);
@@ -227,6 +228,7 @@ TEST(JobQueue, CancelQueuedJobIsImmediate)
 {
     auto gate = std::make_shared<Gate>();
     JobQueue queue(testConfig(), nullptr, gatedRunner(gate));
+    const ReleaseOnExit release{gate};
 
     const auto running = queue.submit(spec("a"));
     gate->waitStarted(1);
@@ -268,6 +270,7 @@ TEST(JobQueue, DeadlineExpiresQueuedJobAsTimeout)
 {
     auto gate = std::make_shared<Gate>();
     JobQueue queue(testConfig(), nullptr, gatedRunner(gate));
+    const ReleaseOnExit release{gate};
 
     const auto running = queue.submit(spec("a"));
     gate->waitStarted(1);

@@ -429,7 +429,7 @@ TEST(SpartenOracle, OneFanoutJoinMatchesThePerTimestepDatapath)
                 const RunResult expected = perTimestepReference(
                     config, layer.input(input), b, layer.spec.name,
                     expected_output);
-                const RunResult got = sim.executeInput(compiled, input, 0);
+                const RunResult got = sim.executeInput(compiled, input);
                 EXPECT_EQ(json::toJson(got), json::toJson(expected))
                     << "input " << input;
                 if (input == 0) {

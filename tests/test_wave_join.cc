@@ -351,12 +351,12 @@ TEST(WaveJoin, LoasSimMatchesScalarOnRandomLayers)
         const CompiledLayer compiled = reference.prepare(layer);
         std::vector<RunResult> want;
         for (std::size_t b = 0; b < batch; ++b)
-            want.push_back(reference.executeInput(compiled, b, 0));
+            want.push_back(reference.executeInput(compiled, b));
 
         kernels::setIsa(wave_isa);
         LoasSim sim(config);
         for (std::size_t b = 0; b < batch; ++b)
-            expectRunResultEq(sim.executeInput(compiled, b, 0), want[b],
+            expectRunResultEq(sim.executeInput(compiled, b), want[b],
                               what + " input " + std::to_string(b));
         EXPECT_EQ(sim.lastOutput(), reference.lastOutput()) << what;
     }

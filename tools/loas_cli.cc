@@ -944,27 +944,34 @@ runKernelBench(bool quick, std::uint64_t seed,
         metrics.emplace_back("execute_allocs_steady_" + key, allocs);
     }
 
-    // --- Batched steady state: executeBatch() over a multi-input
-    // layer must stay off the heap too once the per-input result slots
-    // and per-worker scratch pools are warm. threads=1 on purpose —
-    // spawning pool threads allocates, and this gates the execute
-    // path, not the thread fan-out.
+    // --- Batched steady state: executing every input of a
+    // multi-input layer must stay off the heap too once the instance's
+    // scratch is warm. One thread on purpose — spawning threads
+    // allocates, and this gates the execute path, not the engine's
+    // batch fan-out.
     constexpr std::size_t kBenchBatch = 4;
+    const auto execute_batch = [](Accelerator& instance,
+                                  const CompiledLayer& compiled) {
+        RunResult total;
+        for (std::size_t b = 0; b < compiled.batch; ++b)
+            total += instance.executeInput(compiled, b);
+        return total;
+    };
     for (const auto& key : registry.keys()) {
         const bool ft = registry.entry(key).ft_workload;
         const LayerData layer =
             generateLayer(kspec, seed, ft, kBenchBatch);
         const auto instance = registry.make(key);
         const CompiledLayer compiled = instance->prepare(layer);
-        instance->executeBatch(compiled, 1);
-        instance->executeBatch(compiled, 1);
+        execute_batch(*instance, compiled);
+        execute_batch(*instance, compiled);
         const std::uint64_t before = allochook::allocationCount();
-        const RunResult r = instance->executeBatch(compiled, 1);
+        const RunResult r = execute_batch(*instance, compiled);
         const auto allocs = static_cast<double>(
             allochook::allocationCount() - before);
         if (r.total_cycles == 0)
             throw std::runtime_error(
-                "kernel bench executeBatch produced zero cycles");
+                "kernel bench batch execute produced zero cycles");
         metrics.emplace_back("execute_batch_allocs_steady_" + key,
                              allocs);
     }
@@ -991,16 +998,16 @@ runKernelBench(bool quick, std::uint64_t seed,
             generateLayer(kspec, seed, false, kBenchBatch);
         const auto bfused = registry.make("sparten?fused=1");
         const CompiledLayer bcompiled = bfused->prepare(blayer);
-        bfused->executeBatch(bcompiled, 1);
-        bfused->executeBatch(bcompiled, 1);
+        execute_batch(*bfused, bcompiled);
+        execute_batch(*bfused, bcompiled);
         before = allochook::allocationCount();
-        const RunResult br = bfused->executeBatch(bcompiled, 1);
+        const RunResult br = execute_batch(*bfused, bcompiled);
         metrics.emplace_back(
             "execute_batch_allocs_steady_sparten_fused",
             static_cast<double>(allochook::allocationCount() - before));
         if (br.total_cycles == 0)
             throw std::runtime_error(
-                "kernel bench fused executeBatch produced zero cycles");
+                "kernel bench fused batch execute produced zero cycles");
     }
     metrics.emplace_back("alloc_hook_active",
                          allochook::active() ? 1.0 : 0.0);
