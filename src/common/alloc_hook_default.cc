@@ -4,8 +4,8 @@
  * loas_core so any binary can query the hook, reporting inactive (and
  * a zero count) unless alloc_hook.cc's strong definitions — and with
  * them the counting operator-new replacement — are linked in. This is
- * what makes the bench's `alloc_hook_active` metric a real signal: a
- * mis-linked measuring binary reports 0 and fails the CI gate instead
+ * what makes AllocSteady.CountingHookIsLinked a real check: a
+ * mis-linked measuring binary reports inactive and fails it instead
  * of silently reporting vacuous zero-allocation counts.
  */
 

@@ -11,7 +11,7 @@
  *
  *     disk.write=0.02,engine.execute=0.01@seed=7
  *
- * `loas_cli --fault-spec` (run/sweep/bench/serve/request) and the
+ * `loas_cli --fault-spec` (run/sweep/serve/request) and the
  * LOAS_FAULT_SPEC environment variable (picked up at CLI start, for
  * tests and CI) both feed configure().
  *

@@ -79,8 +79,6 @@ versionJson()
     std::string out = "{";
     out += "\"schema\": " + json::quote(kVersionSchema);
     out += ", \"cli\": " + json::quote(kCliVersion);
-    out += ", \"bench_schema\": " + json::quote(kBenchSchema);
-    out += ", \"kernels_schema\": " + json::quote(kKernelsSchema);
     out += ", \"list_schema\": " + json::quote(kListSchema);
     out += ", \"serve_schema\": " + json::quote(kServeSchema);
     out += ", \"artifact_format\": " +

@@ -125,9 +125,9 @@ std::uint64_t getUintField(const JsonValue& request,
  */
 SimRequest toSimRequest(const RunSpec& spec);
 
-/** `{"schema":"loas-version/2", ...}` one-line version object: CLI
- *  version, every artifact schema tag, on-disk artifact format, and
- *  the resolved join-kernel ISA. */
+/** `{"schema":"loas-version/3", ...}` one-line version object: CLI
+ *  version, the list and serve schema tags, on-disk artifact format,
+ *  and the resolved join-kernel ISA. */
 std::string versionJson();
 
 /** One-line error reply. */

@@ -143,7 +143,7 @@ class CompiledCache
     CompiledCache& operator=(const CompiledCache&) = delete;
 
     /**
-     * The process-lifetime instance shared by CLI/bench engine runs.
+     * The process-lifetime instance shared by a CLI invocation's runs.
      * Configure it once (budget, disk dir) and pass it via
      * SimRequest::compiled_cache; per-run reports are attributed
      * (see getOrCompile).

@@ -85,8 +85,7 @@ TEST(FaultSpec, ParsesSitesRatesAndSeed)
 TEST(FaultSpec, EmptySpecResetsAndZeroRateStillArms)
 {
     FaultGuard guard;
-    // A zero-rate spec arms the registry (the bench's overhead probe
-    // measures exactly this state) but never injects.
+    // A zero-rate spec arms the registry but never injects.
     fault::configure("disk.write=0@seed=1");
     EXPECT_TRUE(fault::enabled());
     for (int i = 0; i < 100; ++i)

@@ -161,7 +161,9 @@ TEST(Serve, VersionAndStatsCommands)
     ASSERT_NE(inner, nullptr);
     EXPECT_EQ(inner->getString("serve_schema", ""), kServeSchema);
     EXPECT_EQ(inner->getString("cli", ""), kCliVersion);
-    EXPECT_EQ(inner->getString("bench_schema", ""), kBenchSchema);
+    EXPECT_EQ(inner->getString("schema", ""), kVersionSchema);
+    EXPECT_EQ(inner->get("bench_schema"), nullptr);
+    EXPECT_EQ(inner->get("kernels_schema"), nullptr);
     EXPECT_GT(inner->getNumber("artifact_format", 0), 0.0);
 
     const JsonValue stats = client.callJson("{\"cmd\": \"stats\"}");

@@ -29,19 +29,6 @@
  *       --grid may repeat. --network takes network grids
  *       ("vgg16-l8?ws=0.982,0.684,0.25") or named networks.
  *
- *   loas_cli bench [--quick] [--seed N] [--threads N] [--out PATH]
- *                  [--kernels-out PATH]
- *       Self-timing harness for the simulator itself: measures
- *       workload-synthesis time, per-accelerator simulation time and
- *       sweep-engine throughput (cells/s), and writes a schema-stable
- *       BENCH_sweep.json for the perf trajectory. A second section
- *       times the hot simulation kernels (word-parallel inner join,
- *       fused vs sequential temporal joins, O(1) rank tables) and
- *       verifies the zero-allocation steady state of every registered
- *       design's execute() including the fused SparTen path, written
- *       as BENCH_kernels.json (schema loas-kernels/3), including the
- *       per-ISA join throughputs behind the simd_speedup metric.
- *
  *   loas_cli cache stats|clear|warm --cache-dir PATH ...
  *       Manage the on-disk compiled-artifact cache: report occupancy,
  *       delete stored artifacts and result records, or precompile
@@ -67,7 +54,7 @@
  *       One JSON object with the CLI version and every artifact
  *       schema/format version this binary reads or writes.
  *
- * run, sweep and bench accept the shared cache flags:
+ * run, sweep and serve accept the shared cache flags:
  *   --cache-dir PATH  persist compiled artifacts and layer results on
  *                     disk; a later invocation with the same flag
  *                     skips operand recompression and replays every
@@ -82,8 +69,6 @@
  *                     evictions, compile_ms
  */
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
@@ -95,7 +80,6 @@
 #include <set>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -106,23 +90,17 @@
 #include "api/sweep.hh"
 #include "api/sweep_io.hh"
 #include "api/versions.hh"
-#include "common/alloc_hook.hh"
 #include "common/fault.hh"
 #include "common/parallel.hh"
-#include "common/rng.hh"
 #include "common/table.hh"
-#include "core/fused_join.hh"
-#include "core/inner_join.hh"
 #include "core/kernel_dispatch.hh"
 #include "serve/client.hh"
 #include "serve/json_parse.hh"
 #include "serve/protocol.hh"
 #include "serve/server.hh"
-#include "tensor/ranked_bitmask.hh"
 #include "workload/artifact_store.hh"
 #include "workload/compiled_cache.hh"
 #include "workload/generator.hh"
-#include "workload/networks.hh"
 
 namespace {
 
@@ -141,8 +119,6 @@ usage(const char* argv0)
         "           [--baseline SPEC] [--seed N] [--batch N]\n"
         "           [--threads N] [--no-energy] [--csv PATH]\n"
         "           [--json PATH] [cache flags]\n"
-        "       %s bench [--quick] [--seed N] [--threads N] [--out PATH]\n"
-        "           [cache flags]\n"
         "       loas_cli cache stats|clear --cache-dir PATH\n"
         "       loas_cli cache warm --cache-dir PATH [--accel LIST]\n"
         "           [--network GRIDS] [--seed N]\n"
@@ -157,7 +133,7 @@ usage(const char* argv0)
         "           [--no-drain] [--raw LINE]\n"
         "       loas_cli version\n"
         "\n"
-        "cache flags (run/sweep/bench):\n"
+        "cache flags (run/sweep/serve):\n"
         "  --cache-dir PATH  persist compiled artifacts and layer\n"
         "                    results on disk and reuse them across\n"
         "                    invocations\n"
@@ -166,12 +142,12 @@ usage(const char* argv0)
         "  --cache-stats PATH\n"
         "                    write cache counters as JSON (\"-\": stdout)\n"
         "\n"
-        "simd (list/run/sweep/bench/serve):\n"
+        "simd (list/run/sweep/serve):\n"
         "  --isa NAME      force the join-kernel ISA: scalar, avx2 or\n"
         "                  avx512 (default: best the host supports;\n"
         "                  $LOAS_ISA configures any command)\n"
         "\n"
-        "fault injection (run/sweep/bench/serve/request):\n"
+        "fault injection (run/sweep/serve/request):\n"
         "  --fault-spec SPEC\n"
         "                    arm deterministic fault injection, e.g.\n"
         "                    \"disk.write=0.02,engine.execute=0.01@seed=7\"\n"
@@ -209,12 +185,6 @@ usage(const char* argv0)
         "  --csv PATH      write per-cell CSV (\"-\": stdout)\n"
         "  --json PATH     write the full sweep JSON (\"-\": stdout)\n"
         "\n"
-        "bench:\n"
-        "  --quick         small matrix for the CI perf-smoke job\n"
-        "  --out PATH      output JSON (default BENCH_sweep.json)\n"
-        "  --kernels-out PATH\n"
-        "                  kernel-bench JSON (default BENCH_kernels.json)\n"
-        "\n"
         "serve:\n"
         "  --socket PATH   unix-socket path to listen on (required)\n"
         "  --workers N     concurrent engine runs (default 1)\n"
@@ -237,7 +207,7 @@ usage(const char* argv0)
         "                  with exponential backoff (default 0)\n"
         "  --backoff-ms B  first retry delay; doubles per retry with\n"
         "                  deterministic jitter (default 100)\n",
-        argv0, argv0, argv0, argv0);
+        argv0, argv0, argv0);
     return 2;
 }
 
@@ -330,7 +300,7 @@ parseBatch(const std::string& flag, const std::string& value)
 }
 
 /**
- * --fault-spec SPEC (run/sweep/bench/serve/request): arm the
+ * --fault-spec SPEC (run/sweep/serve/request): arm the
  * deterministic fault-injection registry, e.g.
  * "disk.write=0.02,engine.execute=0.01@seed=7" (common/fault.hh).
  * $LOAS_FAULT_SPEC does the same for every subcommand (tests, CI).
@@ -344,7 +314,7 @@ handleFaultFlag(const std::string& arg, ArgCursor& args)
     return true;
 }
 
-/** Shared --cache-* flag state of the run/sweep/bench subcommands. */
+/** Shared --cache-* flag state of the run/sweep/serve subcommands. */
 struct CacheFlags
 {
     std::string dir;
@@ -374,8 +344,8 @@ handleCacheFlag(const std::string& arg, ArgCursor& args,
 
 /**
  * The process-lifetime compiled cache, configured from the flags.
- * Every engine run of one CLI invocation shares it, so e.g. the bench
- * harness compiles each operand format once across all its stages.
+ * Every engine run of one CLI invocation shares it, so e.g. the serve
+ * daemon compiles each operand format once across all its requests.
  */
 CompiledCache*
 processCache(const CacheFlags& flags)
@@ -488,9 +458,9 @@ runList(int argc, char** argv)
         return 0;
     }
 
-    // Machine-readable catalog, schema-versioned like the bench output.
-    // Besides the registry it reports how this host would execute: the
-    // resolved join-kernel ISA and the worker-pool sizing (loas-list/2).
+    // Machine-readable, schema-versioned catalog. Besides the registry
+    // it reports how this host would execute: the resolved join-kernel
+    // ISA and the worker-pool sizing (loas-list/2).
     const auto keys = registry.keys();
     std::string out = "{\n";
     out += std::string("  \"schema\": \"") + kListSchema + "\",\n";
@@ -731,538 +701,6 @@ runSweep(int argc, char** argv)
 }
 
 /**
- * Time the hot simulation kernels and verify the zero-allocation
- * steady-state contract of every registered design's execute().
- * Appends (name, value) metric pairs for the loas-kernels/3 schema.
- */
-void
-runKernelBench(bool quick, std::uint64_t seed,
-               std::vector<std::pair<std::string, double>>& metrics)
-{
-    using Clock = std::chrono::steady_clock;
-    const auto seconds_since = [](Clock::time_point start) {
-        return std::chrono::duration<double>(Clock::now() - start)
-            .count();
-    };
-
-    // --- Word-parallel inner join on a representative fiber pair
-    // (VGG-class K, Table II-like densities).
-    const std::size_t k = 2304;
-    Rng rng(seed);
-    SpikeFiber fa;
-    fa.mask = Bitmask(k);
-    WeightFiber fb;
-    fb.mask = Bitmask(k);
-    for (std::size_t i = 0; i < k; ++i) {
-        if (rng.bernoulli(0.25)) {
-            fa.mask.set(i);
-            fa.values.push_back(
-                static_cast<TimeWord>(1 + rng.uniformInt(15)));
-        }
-        if (rng.bernoulli(0.03)) {
-            fb.mask.set(i);
-            fb.values.push_back(
-                static_cast<std::int32_t>(rng.uniformInt(255)) - 127);
-        }
-    }
-    const RankedBitmask rank_a(fa.mask);
-    const RankedBitmask rank_b(fb.mask);
-    const InnerJoinUnit unit(InnerJoinConfig{}, 4);
-    JoinScratch scratch;
-    unit.join(fa, rank_a, fb, rank_b, 0, scratch); // warm the scratch
-
-    const int join_iters = quick ? 20000 : 100000;
-    const std::uint64_t allocs_before = allochook::allocationCount();
-    const auto t_join = Clock::now();
-    std::uint64_t matches = 0;
-    for (int i = 0; i < join_iters; ++i)
-        matches += unit.join(fa, rank_a, fb, rank_b, 0, scratch).matches;
-    const double join_s = seconds_since(t_join);
-    const auto join_allocs = static_cast<double>(
-        allochook::allocationCount() - allocs_before);
-    metrics.emplace_back("join_calls_per_s", join_iters / join_s);
-    metrics.emplace_back("join_matches_per_s",
-                         static_cast<double>(matches) / join_s);
-    metrics.emplace_back("join_allocs_steady", join_allocs);
-
-    // --- Fused temporally-parallel join vs the sequential baseline at
-    // T=8: the sequential path scans T per-timestep row masks against
-    // the weight fiber (one pass each), the fused path ANDs the union
-    // mask once and fans matches out through the packed temporal
-    // words. Same sums, so the throughput ratio is the tentpole claim
-    // (>= 2x, gated by bench_compare). Operands follow the paper's
-    // VGG16 fc6 layer: K = 512*7*7 = 25088, weight sparsity 98.2%
-    // (Table II), and non-silent neurons firing on 1-3 of the 8
-    // timesteps — the regime the fusion targets, where the T
-    // redundant mask scans dominate the per-match fan-out work.
-    const int t8 = 8;
-    const std::size_t k8 = 25088;
-    Rng rng8(seed + 1);
-    SpikeFiber fa8;
-    fa8.mask = Bitmask(k8);
-    WeightFiber fb8;
-    fb8.mask = Bitmask(k8);
-    std::vector<Bitmask> t8_masks(
-        static_cast<std::size_t>(t8), Bitmask(k8));
-    for (std::size_t i = 0; i < k8; ++i) {
-        if (rng8.bernoulli(0.018)) {
-            fb8.mask.set(i);
-            fb8.values.push_back(
-                static_cast<std::int32_t>(rng8.uniformInt(255)) - 127);
-        }
-        if (!rng8.bernoulli(0.25))
-            continue;
-        TimeWord word = 0;
-        const auto spikes = 1 + rng8.uniformInt(3);
-        for (std::uint64_t s = 0; s < spikes; ++s)
-            word |= static_cast<TimeWord>(1u << rng8.uniformInt(8));
-        fa8.mask.set(i);
-        fa8.values.push_back(word);
-        for (int t = 0; t < t8; ++t)
-            if ((word >> t) & 1u)
-                t8_masks[static_cast<std::size_t>(t)].set(i);
-    }
-    const RankedBitmask rank_a8(fa8.mask);
-    const RankedBitmask rank_b8(fb8.mask);
-    std::vector<std::int32_t> sums8(static_cast<std::size_t>(t8), 0);
-    std::vector<std::int64_t> corr8(static_cast<std::size_t>(t8), 0);
-
-    // Interleave the two paths in alternating batches so slow drift
-    // (CI runner load) hits both sides equally — the gated quantity is
-    // the ratio, not either absolute rate.
-    const int t8_batches = 20;
-    const int t8_batch_iters = quick ? 2500 : 10000;
-    const int t8_iters = t8_batches * t8_batch_iters;
-    std::int64_t sums_sink = 0;
-    double seq_s = 0.0, fused_s = 0.0;
-    for (int batch = 0; batch < t8_batches; ++batch) {
-        const auto t_seq = Clock::now();
-        for (int i = 0; i < t8_batch_iters; ++i) {
-            for (int t = 0; t < t8; ++t) {
-                std::int32_t acc = 0;
-                forEachMatch(t8_masks[static_cast<std::size_t>(t)],
-                             rank_b8,
-                             [&](std::size_t, std::size_t b_off) {
-                                 acc += fb8.values[b_off];
-                             });
-                sums8[static_cast<std::size_t>(t)] = acc;
-            }
-            sums_sink += sums8[0];
-        }
-        seq_s += seconds_since(t_seq);
-        const auto t_fused = Clock::now();
-        for (int i = 0; i < t8_batch_iters; ++i) {
-            fusedTemporalJoin(fa8, rank_a8, fb8, rank_b8, t8,
-                              /*collapse=*/false, sums8.data(),
-                              corr8.data());
-            sums_sink -= sums8[0];
-        }
-        fused_s += seconds_since(t_fused);
-    }
-    if (sums_sink != 0)
-        throw std::runtime_error(
-            "fused join disagrees with the sequential path");
-    metrics.emplace_back("join_seq_t8_calls_per_s", t8_iters / seq_s);
-    metrics.emplace_back("join_fused_t8_calls_per_s",
-                         t8_iters / fused_s);
-    metrics.emplace_back("join_fused_speedup_t8", seq_s / fused_s);
-
-    // --- Per-ISA join throughput (loas-kernels/3): the same workloads
-    // forced through the scalar kernel table, so bench history tracks
-    // what the SIMD dispatch buys. simd_speedup is informational in
-    // bench_compare — it reflects the runner's ISA, not a code
-    // regression by itself — and is ~1.0 when the dispatch already
-    // resolved to scalar.
-    const kernels::Isa bench_isa = kernels::resolvedIsa();
-    const std::int32_t fused_sum0 = sums8[0];
-    kernels::setIsa(kernels::Isa::Scalar);
-    const auto t_sjoin = Clock::now();
-    std::uint64_t smatches = 0;
-    for (int i = 0; i < join_iters; ++i)
-        smatches += unit.join(fa, rank_a, fb, rank_b, 0, scratch).matches;
-    const double sjoin_s = seconds_since(t_sjoin);
-    const auto t_sfused = Clock::now();
-    for (int i = 0; i < t8_iters; ++i)
-        fusedTemporalJoin(fa8, rank_a8, fb8, rank_b8, t8,
-                          /*collapse=*/false, sums8.data(),
-                          corr8.data());
-    const double sfused_s = seconds_since(t_sfused);
-    kernels::setIsa(bench_isa);
-    if (smatches != matches || sums8[0] != fused_sum0)
-        throw std::runtime_error(
-            "scalar join disagrees with the dispatched join");
-    metrics.emplace_back("join_scalar_calls_per_s",
-                         join_iters / sjoin_s);
-    metrics.emplace_back("join_fused_t8_scalar_calls_per_s",
-                         t8_iters / sfused_s);
-    metrics.emplace_back("simd_speedup", sfused_s / fused_s);
-
-    // --- O(1) rank-table queries.
-    const int rank_iters = quick ? 1000000 : 4000000;
-    std::size_t pos = 0;
-    std::uint64_t sink = 0;
-    const auto t_rank = Clock::now();
-    for (int i = 0; i < rank_iters; ++i) {
-        sink += rank_a.rank(pos);
-        pos = (pos + 97) % (k + 1);
-    }
-    metrics.emplace_back("rank_ops_per_s",
-                         rank_iters / seconds_since(t_rank));
-    const auto t_pr = Clock::now();
-    for (int i = 0; i < rank_iters; ++i) {
-        sink += rank_a.popcountRange(pos, k);
-        pos = (pos + 97) % (k + 1);
-    }
-    metrics.emplace_back("popcount_range_ops_per_s",
-                         rank_iters / seconds_since(t_pr));
-    if (sink == 0xdeadbeef) // defeat dead-code elimination
-        std::printf("\n");
-
-    // --- Steady-state execute() of every registered design must not
-    // touch the heap: two warm-up layers grow the scratch buffers,
-    // the third is counted. (The layer name stays within the small-
-    // string capacity on purpose — RunResult carries it by value.)
-    const auto& registry = AcceleratorRegistry::instance();
-    LayerSpec kspec = tables::alexnetL4();
-    if (quick)
-        kspec.m = 64;
-    kspec.name = "kbench";
-    for (const auto& key : registry.keys()) {
-        const bool ft = registry.entry(key).ft_workload;
-        const LayerData layer = generateLayer(kspec, seed, ft);
-        const auto instance = registry.make(key);
-        const CompiledLayer compiled = instance->prepare(layer);
-        instance->execute(compiled);
-        instance->execute(compiled);
-        const std::uint64_t before = allochook::allocationCount();
-        const RunResult r = instance->execute(compiled);
-        const auto allocs = static_cast<double>(
-            allochook::allocationCount() - before);
-        if (r.total_cycles == 0)
-            throw std::runtime_error(
-                "kernel bench execute produced zero cycles");
-        metrics.emplace_back("execute_allocs_steady_" + key, allocs);
-    }
-
-    // --- Batched steady state: executing every input of a
-    // multi-input layer must stay off the heap too once the instance's
-    // scratch is warm. One thread on purpose — spawning threads
-    // allocates, and this gates the execute path, not the engine's
-    // batch fan-out.
-    constexpr std::size_t kBenchBatch = 4;
-    const auto execute_batch = [](Accelerator& instance,
-                                  const CompiledLayer& compiled) {
-        RunResult total;
-        for (std::size_t b = 0; b < compiled.batch; ++b)
-            total += instance.executeInput(compiled, b);
-        return total;
-    };
-    for (const auto& key : registry.keys()) {
-        const bool ft = registry.entry(key).ft_workload;
-        const LayerData layer =
-            generateLayer(kspec, seed, ft, kBenchBatch);
-        const auto instance = registry.make(key);
-        const CompiledLayer compiled = instance->prepare(layer);
-        execute_batch(*instance, compiled);
-        execute_batch(*instance, compiled);
-        const std::uint64_t before = allochook::allocationCount();
-        const RunResult r = execute_batch(*instance, compiled);
-        const auto allocs = static_cast<double>(
-            allochook::allocationCount() - before);
-        if (r.total_cycles == 0)
-            throw std::runtime_error(
-                "kernel bench batch execute produced zero cycles");
-        metrics.emplace_back("execute_batch_allocs_steady_" + key,
-                             allocs);
-    }
-
-    // --- The fused SparTen datapath is a spec option, not a registry
-    // key, so it gets its own explicit steady-state gates (collapse
-    // exercised at the default threshold).
-    {
-        const LayerData layer = generateLayer(kspec, seed, false);
-        const auto fused = registry.make("sparten?fused=1");
-        const CompiledLayer compiled = fused->prepare(layer);
-        fused->execute(compiled);
-        fused->execute(compiled);
-        std::uint64_t before = allochook::allocationCount();
-        const RunResult r = fused->execute(compiled);
-        metrics.emplace_back("execute_allocs_steady_sparten_fused",
-                             static_cast<double>(
-                                 allochook::allocationCount() - before));
-        if (r.total_cycles == 0)
-            throw std::runtime_error(
-                "kernel bench fused execute produced zero cycles");
-
-        const LayerData blayer =
-            generateLayer(kspec, seed, false, kBenchBatch);
-        const auto bfused = registry.make("sparten?fused=1");
-        const CompiledLayer bcompiled = bfused->prepare(blayer);
-        execute_batch(*bfused, bcompiled);
-        execute_batch(*bfused, bcompiled);
-        before = allochook::allocationCount();
-        const RunResult br = execute_batch(*bfused, bcompiled);
-        metrics.emplace_back(
-            "execute_batch_allocs_steady_sparten_fused",
-            static_cast<double>(allochook::allocationCount() - before));
-        if (br.total_cycles == 0)
-            throw std::runtime_error(
-                "kernel bench fused batch execute produced zero cycles");
-    }
-    metrics.emplace_back("alloc_hook_active",
-                         allochook::active() ? 1.0 : 0.0);
-}
-
-int
-runBench(int argc, char** argv)
-{
-    bool quick = false;
-    std::uint64_t seed = 101;
-    int threads = 0;
-    std::string out_path = "BENCH_sweep.json";
-    std::string kernels_out_path = "BENCH_kernels.json";
-    CacheFlags cache_flags;
-
-    ArgCursor args(argc, argv);
-    while (args.more()) {
-        const std::string arg = args.next();
-        if (arg == "--quick")
-            quick = true;
-        else if (handleCommonFlag(arg, args, seed, threads))
-            continue;
-        else if (handleCacheFlag(arg, args, cache_flags))
-            continue;
-        else if (handleFaultFlag(arg, args))
-            continue;
-        else if (arg == "--out")
-            out_path = args.value(arg);
-        else if (arg == "--kernels-out")
-            kernels_out_path = args.value(arg);
-        else
-            throw std::invalid_argument("unknown flag '" + arg + "'");
-    }
-
-    using Clock = std::chrono::steady_clock;
-    auto ms_since = [](Clock::time_point start) {
-        return std::chrono::duration<double, std::milli>(Clock::now() -
-                                                         start)
-            .count();
-    };
-
-    std::vector<std::pair<std::string, double>> metrics;
-
-    // 1. Workload synthesis: the expensive calibrated tensor
-    //    generation the engine caches per (network, ft-variant).
-    const NetworkSpec net =
-        quick ? NetworkSpec{"alexnet-l4", {tables::alexnetL4()}}
-              : tables::alexnet();
-    const auto t_synth = Clock::now();
-    const std::vector<LayerData> layers = generateNetwork(net, seed);
-    const std::vector<LayerData> layers_ft =
-        generateNetwork(net, seed, /*ft=*/true);
-    metrics.emplace_back("workload_synthesis_ms", ms_since(t_synth));
-
-    // 2. Per-accelerator simulation on the shared workload.
-    const auto& registry = AcceleratorRegistry::instance();
-    for (const std::string design :
-         {"sparten", "gospa", "gamma", "loas", "loas-ft"}) {
-        const bool ft = registry.entry(design).ft_workload;
-        const auto t_sim = Clock::now();
-        const RunResult r = registry.make(design)->runNetwork(
-            ft ? layers_ft : layers, net.name);
-        double ms = ms_since(t_sim);
-        if (r.total_cycles == 0)
-            throw std::runtime_error("bench run produced zero cycles");
-        metrics.emplace_back(std::string("sim_ms_") + design, ms);
-    }
-
-    // 3. Sweep-engine throughput, end to end (expansion, synthesis,
-    //    simulation, derived columns) on a representative grid.
-    SweepRequest sweep;
-    sweep.grids = {quick ? "loas?pes=8,16&t=4,8"
-                         : "loas?pes=8,16,32,64&t=4,8,16"};
-    sweep.baseline = "sparten";
-    if (quick)
-        sweep.networks = {"alexnet-l4"};
-    else
-        sweep.networks = {"vgg16-l8", "alexnet-l4"};
-    sweep.seed = seed;
-    sweep.threads = threads;
-    sweep.compiled_cache = processCache(cache_flags);
-    const auto t_sweep = Clock::now();
-    const SweepReport report = SweepEngine().run(sweep);
-    const double sweep_ms = ms_since(t_sweep);
-    metrics.emplace_back("sweep_wall_ms", sweep_ms);
-    metrics.emplace_back("sweep_cells",
-                         static_cast<double>(report.cells.size()));
-    metrics.emplace_back("sweep_cells_per_s",
-                         static_cast<double>(report.cells.size()) /
-                             (sweep_ms / 1000.0));
-    // Two-phase split: time compiling operands (once per cache key)
-    // vs time executing the datapath models.
-    metrics.emplace_back("prepare_ms", report.prepare_ms);
-    metrics.emplace_back("sim_ms", report.sim_ms);
-    // Compiled-cache counters: informational for trend tooling (they
-    // are zero on a cold, disk-less run by design).
-    const CompiledCache::Stats& cc = report.compile_cache;
-    metrics.emplace_back("cache_hits", static_cast<double>(cc.hits));
-    metrics.emplace_back("cache_misses",
-                         static_cast<double>(cc.misses));
-    metrics.emplace_back("cache_disk_hits",
-                         static_cast<double>(cc.disk_hits));
-    metrics.emplace_back("cache_evictions",
-                         static_cast<double>(cc.evictions));
-    metrics.emplace_back("cache_bytes",
-                         static_cast<double>(cc.bytes));
-
-    // 3b. Batched-inference throughput along the request dimension:
-    //     one engine run at batch 8 on the LoAS design over the same
-    //     network as stage 1; each cell compiles its artifacts once
-    //     and fans its inputs out over the batch-level parallel loop,
-    //     so the rate amortizes synthesis + compile across the batch.
-    {
-        constexpr std::size_t kBatch = 8;
-        SimRequest batch_request;
-        batch_request.accels = {"loas"};
-        batch_request.networks = {net};
-        batch_request.seed = seed;
-        batch_request.threads = threads;
-        batch_request.batch = kBatch;
-        batch_request.compiled_cache = sweep.compiled_cache;
-        const auto t_batch = Clock::now();
-        const SimReport batch_report =
-            SimEngine().run(batch_request);
-        const double batch_ms = ms_since(t_batch);
-        metrics.emplace_back(
-            "batch_inferences_per_s",
-            static_cast<double>(kBatch * batch_report.runs.size()) /
-                (batch_ms / 1000.0));
-    }
-
-    // 3c. Disabled-path cost of the fault-injection hooks: the same
-    //     single-cell engine run timed with the registry disarmed vs
-    //     armed at all-zero rates. Each run gets a private cache, so
-    //     every timed run synthesizes, compiles and executes (a shared
-    //     one would replay the layer from its result record and time
-    //     a lookup of a few µs). The armed pass is a strict upper
-    //     bound on the hook cost (it takes the slow path's rate load
-    //     on every check; the disarmed path is one relaxed atomic
-    //     load), so the fractional gap proves the hooks are free when
-    //     off. Interleaving the batches cancels runner drift. The
-    //     stage owns the registry: an operator-supplied --fault-spec
-    //     is disarmed from here on, as injected faults would
-    //     invalidate every perf number anyway.
-    {
-        SimRequest hook_request;
-        hook_request.accels = {"loas"};
-        hook_request.networks = {
-            NetworkSpec{"alexnet-l4", {tables::alexnetL4()}}};
-        hook_request.seed = seed;
-        hook_request.threads = threads;
-        hook_request.energy = false;
-        SimEngine hook_engine;
-        hook_engine.run(hook_request); // warm-up, untimed
-        // Min-of-batches on each side rejects scheduler noise that a
-        // summed ratio would fold straight into the estimate.
-        double off_ms = 1e300;
-        double armed_ms = 1e300;
-        const int hook_batches = quick ? 6 : 12;
-        for (int b = 0; b < hook_batches; ++b) {
-            fault::reset();
-            auto t_hook = Clock::now();
-            hook_engine.run(hook_request);
-            off_ms = std::min(off_ms, ms_since(t_hook));
-            fault::configure("disk.write=0@seed=1");
-            t_hook = Clock::now();
-            hook_engine.run(hook_request);
-            armed_ms = std::min(armed_ms, ms_since(t_hook));
-        }
-        fault::reset();
-        metrics.emplace_back("fault_overhead_frac",
-                             off_ms > 0.0 ? armed_ms / off_ms - 1.0
-                                          : 0.0);
-    }
-
-    // 4. Served-request throughput: a daemon on a scratch socket,
-    //    one warm-up submit, then timed sequential requests — every
-    //    timed one hits its artifacts and replays its layer results,
-    //    so this tracks the serve pipeline overhead (socket round
-    //    trip, queue, report rendering), not compile or execute
-    //    time.
-    {
-        serve::Server::Config server_config;
-        server_config.socket_path = "/tmp/loas-bench-" +
-                                    std::to_string(::getpid()) +
-                                    ".sock";
-        server_config.queue.engine_threads = threads;
-        serve::Server server(server_config, sweep.compiled_cache);
-        std::thread server_thread([&server] { server.run(); });
-        {
-            serve::ServeClient client(server_config.socket_path);
-            const std::string submit =
-                std::string("{\"cmd\": \"submit\", \"accel\": "
-                            "\"loas\", \"network\": ") +
-                json::quote(quick ? "alexnet-l4" : "alexnet") +
-                ", \"seed\": " + std::to_string(seed) + "}";
-            client.call(submit); // warm-up: compiles once
-            const int requests = quick ? 8 : 32;
-            const auto t_serve = Clock::now();
-            for (int i = 0; i < requests; ++i)
-                client.call(submit);
-            metrics.emplace_back("serve_requests_per_s",
-                                 requests /
-                                     (ms_since(t_serve) / 1000.0));
-        }
-        server.requestStop(true);
-        server_thread.join();
-    }
-
-    // 5. Kernel microbenches + the zero-allocation steady-state check,
-    //    reported in their own schema-stable file.
-    std::vector<std::pair<std::string, double>> kernel_metrics;
-    runKernelBench(quick, seed, kernel_metrics);
-
-    // Schema-stable output: the perf-trajectory tooling and the CI
-    // trend gate (tools/bench_compare.py) both key on "schema" and
-    // the metric list. loas-bench/2 added the prepare_ms / sim_ms
-    // two-phase split, loas-bench/3 the compile-cache counters,
-    // loas-bench/4 the served-request throughput, loas-bench/5 the
-    // batched-inference throughput (the kernels file gained the
-    // batched alloc gates alongside), loas-bench/6 the fault-hook
-    // overhead fraction; loas-kernels/1 is the kernel-bench
-    // companion.
-    const auto render = [&](const char* schema, const auto& list) {
-        std::string out = "{\n";
-        out += std::string("  \"schema\": \"") + schema + "\",\n";
-        out += std::string("  \"mode\": ") +
-               (quick ? "\"quick\"" : "\"full\"") + ",\n";
-        out += "  \"threads\": " + std::to_string(threads) + ",\n";
-        out += "  \"seed\": " + std::to_string(seed) + ",\n";
-        out += "  \"metrics\": [\n";
-        for (std::size_t i = 0; i < list.size(); ++i) {
-            out += "    {\"name\": " + json::quote(list[i].first) +
-                   ", \"value\": " + json::num(list[i].second) + "}";
-            out += i + 1 < list.size() ? ",\n" : "\n";
-        }
-        out += "  ]\n}\n";
-        return out;
-    };
-
-    for (const auto& [name, value] : metrics)
-        std::printf("%-24s %12.3f\n", name.c_str(), value);
-    printCacheSummary(report.compile_cache);
-    for (const auto& [name, value] : kernel_metrics)
-        std::printf("%-32s %16.3f\n", name.c_str(), value);
-
-    int rc = writeCacheStats(cache_flags, report.compile_cache,
-                             report.synth_layers, report.synth_ms);
-    rc |= writeOutput(out_path, render(kBenchSchema, metrics));
-    rc |= writeOutput(kernels_out_path,
-                      render(kKernelsSchema, kernel_metrics));
-    return rc;
-}
-
-/**
  * Manage the on-disk artifact cache.
  *
  *   cache stats --cache-dir PATH   occupancy + format versions
@@ -1342,7 +780,7 @@ runCache(int argc, char** argv)
 
     // warm: compile once per (network, layer, family, ft, t, seed)
     // key through a disk-backed cache — misses write the files a
-    // later run/sweep/bench with the same --cache-dir will load.
+    // later run/sweep with the same --cache-dir will load.
     const auto& registry = AcceleratorRegistry::instance();
     struct Variant
     {
@@ -1683,8 +1121,6 @@ main(int argc, char** argv)
             return runRun(argc - 2, argv + 2);
         if (command == "sweep")
             return runSweep(argc - 2, argv + 2);
-        if (command == "bench")
-            return runBench(argc - 2, argv + 2);
         if (command == "cache")
             return runCache(argc - 2, argv + 2);
         if (command == "serve")
