@@ -22,6 +22,8 @@
 #include "workload/generator.hh"
 #include "workload/networks.hh"
 
+#include "match_walks.hh"
+
 namespace {
 
 using namespace loas;

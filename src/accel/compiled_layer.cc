@@ -1,7 +1,6 @@
 #include "accel/compiled_layer.hh"
 
 #include "common/bitutil.hh"
-#include "common/parallel.hh"
 #include "tensor/compress.hh"
 #include "workload/generator.hh"
 
@@ -9,24 +8,17 @@ namespace loas {
 
 namespace {
 
-/**
- * Build `count` weight fibers with `build(i)` in one parallel pass —
- * each worker fills a disjoint, preallocated slot and immediately
- * derives its rank table (slot addresses are stable: the vector is
- * presized) — then attach the cumulative offsets. One thread fork per
- * compiled operand, bit-identical at any thread count.
- */
-template <typename BuildFn>
+/** Built fibers plus their rank views and cumulative offsets. */
 CompiledWeightFibers
-buildWeightFibers(std::size_t count, BuildFn&& build)
+compileWeightFibers(std::vector<WeightFiber> fibers)
 {
     CompiledWeightFibers compiled;
-    compiled.fibers.resize(count);
-    compiled.ranked.resize(count);
-    parallelFor(count, prepareParallelism(count), [&](std::size_t i) {
-        compiled.fibers[i] = build(i);
-        compiled.ranked[i] = RankedBitmask(compiled.fibers[i].mask);
-    });
+    compiled.fibers = std::move(fibers);
+    // The rank views point into compiled.fibers, whose elements stay
+    // put from here on.
+    compiled.ranked.reserve(compiled.fibers.size());
+    for (const auto& fiber : compiled.fibers)
+        compiled.ranked.emplace_back(fiber.mask);
     compiled.meta_off = cumulativeOffsets(
         compiled.fibers,
         [](const WeightFiber& f) { return f.metadataBytes(); });
@@ -51,26 +43,49 @@ CompiledWeightFibers::footprintBytes() const
 CompiledWeightFibers
 compileWeightColumns(const DenseMatrix<std::int8_t>& weights)
 {
-    return buildWeightFibers(weights.cols(), [&](std::size_t c) {
-        return compressWeightColumn(weights, c);
-    });
+    // Row-major, the order B is stored in: count every column's
+    // non-zeros, reserve each fiber exactly, then append row by row.
+    // A column's values land in row order, as a walk down the column
+    // would emit them.
+    const std::size_t rows = weights.rows();
+    const std::size_t cols = weights.cols();
+    const std::int8_t* const data = weights.data().data();
+    std::vector<std::size_t> nnz(cols, 0);
+    for (std::size_t r = 0; r < rows; ++r)
+        for (std::size_t c = 0; c < cols; ++c)
+            nnz[c] += data[r * cols + c] != 0 ? 1 : 0;
+
+    const std::size_t n_words = ceilDiv(rows, Bitmask::kWordBits);
+    std::vector<std::vector<std::uint64_t>> words(cols);
+    std::vector<WeightFiber> fibers(cols);
+    for (std::size_t c = 0; c < cols; ++c) {
+        words[c].assign(n_words, 0);
+        fibers[c].values.reserve(nnz[c]);
+    }
+    for (std::size_t r = 0; r < rows; ++r) {
+        const std::size_t w = r / Bitmask::kWordBits;
+        const std::uint64_t bit = 1ull << (r % Bitmask::kWordBits);
+        for (std::size_t c = 0; c < cols; ++c) {
+            const std::int8_t v = data[r * cols + c];
+            if (v != 0) {
+                words[c][w] |= bit;
+                fibers[c].values.push_back(v);
+            }
+        }
+    }
+    for (std::size_t c = 0; c < cols; ++c)
+        fibers[c].mask = Bitmask(rows, std::move(words[c]));
+    return compileWeightFibers(std::move(fibers));
 }
 
 CompiledWeightFibers
 compileWeightRows(const DenseMatrix<std::int8_t>& weights)
 {
-    return buildWeightFibers(weights.rows(), [&](std::size_t r) {
-        return compressWeightRow(weights, r);
-    });
-}
-
-CompiledWeightFibers
-compileWeightFibers(std::vector<WeightFiber> fibers)
-{
-    auto* const raw = fibers.data();
-    return buildWeightFibers(fibers.size(), [raw](std::size_t i) {
-        return std::move(raw[i]);
-    });
+    std::vector<WeightFiber> fibers;
+    fibers.reserve(weights.rows());
+    for (std::size_t r = 0; r < weights.rows(); ++r)
+        fibers.push_back(compressWeightRow(weights, r));
+    return compileWeightFibers(std::move(fibers));
 }
 
 std::size_t
@@ -88,17 +103,10 @@ compileSpikeRows(const SpikeTensor& spikes)
 {
     const int timesteps = spikes.timesteps();
     CompiledSpikeFibers compiled;
-    compiled.fibers.resize(spikes.rows());
-    compiled.ranked.resize(spikes.rows());
-    // One parallel pass: compress the row, then derive its rank table
-    // in place (slot addresses are stable: the vectors are presized).
-    parallelFor(compiled.fibers.size(),
-                prepareParallelism(compiled.fibers.size()),
-                [&](std::size_t r) {
-                    compiled.fibers[r] = compressSpikeRow(spikes, r);
-                    compiled.ranked[r] =
-                        RankedBitmask(compiled.fibers[r].mask);
-                });
+    compiled.fibers = compressSpikeRows(spikes);
+    compiled.ranked.reserve(compiled.fibers.size());
+    for (const auto& fiber : compiled.fibers)
+        compiled.ranked.emplace_back(fiber.mask);
     compiled.meta_off = cumulativeOffsets(
         compiled.fibers,
         [](const SpikeFiber& f) { return f.metadataBytes(); });

@@ -131,9 +131,6 @@ compileWeightColumns(const DenseMatrix<std::int8_t>& weights);
 CompiledWeightFibers
 compileWeightRows(const DenseMatrix<std::int8_t>& weights);
 
-/** Wrap already-built fibers (the SparTen ANN activation operand). */
-CompiledWeightFibers compileWeightFibers(std::vector<WeightFiber> fibers);
-
 /**
  * Spike fibers plus their cumulative offsets — the compiled form of the
  * A operand under the FTP-friendly format. Value offsets are byte

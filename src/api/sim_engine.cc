@@ -157,7 +157,7 @@ SimEngine::run(const SimRequest& request) const
             std::max<std::size_t>(1, report.runs.size()),
         1, request.batch);
 
-    parallelFor(report.runs.size(), threads, [&](std::size_t i) {
+    const auto run_cell = [&](std::size_t, std::size_t i) {
         check_cancelled();
         const std::size_t a = i / n_nets;
         const std::size_t n = i % n_nets;
@@ -205,7 +205,8 @@ SimEngine::run(const SimRequest& request) const
         std::vector<RunResult>* per_input =
             request.batch > 1 ? &run.per_input : nullptr;
         run.result = instance.reduceNetwork(results, net.name, per_input);
-    });
+    };
+    parallelForWorkers(report.runs.size(), threads, run_cell);
 
     // Energy is a pure function of each cell's RunResult, so it is
     // derived post-hoc while assembling the report instead of inside

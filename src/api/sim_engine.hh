@@ -25,8 +25,10 @@
  * request on a shared cache, or a new process over a warm disk level,
  * executes nothing and reports the same bytes.
  *
- * The engine alone spends the thread budget. Cells share `threads`,
- * and a batched cell splits its share over its inputs: it makes one
+ * The engine alone spends the thread budget: synthesis, prepare and
+ * execute run on the thread that calls them, and only the engine's
+ * two parallelForWorkers sections fork. Cells share `threads`, and a
+ * batched cell splits its share over its inputs: it makes one
  * accelerator instance per batch worker (an instance runs on one
  * thread) and worker w executes its inputs on instance w.
  *
@@ -76,8 +78,9 @@ struct SimRequest
     bool energy = true;
 
     /**
-     * Worker threads: 1 = serial in the calling thread, 0 = one per
-     * hardware thread (capped by the job count).
+     * Worker threads, the run's whole budget: 1 = serial in the
+     * calling thread, 0 = one per hardware thread (capped by the job
+     * count).
      */
     int threads = 0;
 

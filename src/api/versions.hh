@@ -18,7 +18,7 @@
 
 namespace loas {
 
-inline constexpr char kCliVersion[] = "0.11.0";
+inline constexpr char kCliVersion[] = "0.12.0";
 
 /** loas_cli list --json accelerator catalog; /2 added the resolved
  *  SIMD ISA and worker-pool sizing fields. */

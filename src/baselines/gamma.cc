@@ -1,14 +1,12 @@
 #include "baselines/gamma.hh"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <memory>
 
 #include "api/registry.hh"
 #include "common/bitutil.hh"
 #include "common/logging.hh"
-#include "common/parallel.hh"
 #include "mem/memory_system.hh"
 #include "tensor/compress.hh"
 
@@ -59,10 +57,9 @@ GammaSim::prepare(const LayerData& layer) const
 
     // Per-(timestep, row) merge tasks, one CSR per batch input: the
     // columns whose spike fires and whose B row carries values, in the
-    // scheduler's replay order. Built in two per-row-parallel passes
-    // (count, then fill) so the CSR comes out identical to the serial
-    // t-outer walk: task t*m+r only ever holds row r's columns in
-    // ascending order.
+    // scheduler's replay order. Built in two row-major passes over the
+    // packed words (count, then fill), so task t*m+r holds row r's
+    // columns in ascending order, as the t-outer walk visits them.
     const std::size_t batch = layer.batchSize();
     art->total_spikes.resize(batch);
     art->cols.resize(batch);
@@ -76,40 +73,33 @@ GammaSim::prepare(const LayerData& layer) const
 
         const std::size_t n_tasks =
             static_cast<std::size_t>(timesteps) * m;
-        std::vector<std::uint64_t> sizes(n_tasks, 0);
-        parallelFor(m, prepareParallelism(m), [&](std::size_t r) {
-            for (std::size_t c = 0; c < k; ++c) {
-                if (art->b.fibers[c].values.empty())
-                    continue;
-                TimeWord w = spikes.word(r, c);
-                while (w) {
-                    const int t = lowestSetBit(w);
-                    w &= w - 1;
-                    ++sizes[static_cast<std::size_t>(t) * m + r];
+        const auto for_each_spike = [&](auto&& fn) {
+            for (std::size_t r = 0; r < m; ++r) {
+                const TimeWord* const row = spikes.rowWords(r);
+                for (std::size_t c = 0; c < k; ++c) {
+                    if (art->b.fibers[c].values.empty())
+                        continue;
+                    TimeWord w = row[c];
+                    while (w) {
+                        const int t = lowestSetBit(w);
+                        w &= w - 1;
+                        fn(static_cast<std::size_t>(t) * m + r, c);
+                    }
                 }
             }
-        });
+        };
+        // `next` counts each task's columns, then is its fill cursor.
+        std::vector<std::uint64_t> next(n_tasks, 0);
+        for_each_spike(
+            [&](std::size_t task, std::size_t) { ++next[task]; });
         ptr.resize(n_tasks + 1);
         ptr[0] = 0;
         for (std::size_t i = 0; i < n_tasks; ++i)
-            ptr[i + 1] = ptr[i] + sizes[i];
+            ptr[i + 1] = ptr[i] + next[i];
         cols.resize(ptr[n_tasks]);
-        parallelFor(m, prepareParallelism(m), [&](std::size_t r) {
-            std::array<std::uint64_t, kMaxTimesteps> cursor{};
-            for (std::size_t c = 0; c < k; ++c) {
-                if (art->b.fibers[c].values.empty())
-                    continue;
-                TimeWord w = spikes.word(r, c);
-                while (w) {
-                    const int t = lowestSetBit(w);
-                    w &= w - 1;
-                    const std::size_t task =
-                        static_cast<std::size_t>(t) * m + r;
-                    cols[ptr[task] +
-                         cursor[static_cast<std::size_t>(t)]++] =
-                        static_cast<std::uint32_t>(c);
-                }
-            }
+        std::copy(ptr.begin(), ptr.end() - 1, next.begin());
+        for_each_spike([&](std::size_t task, std::size_t c) {
+            cols[next[task]++] = static_cast<std::uint32_t>(c);
         });
         bytes += cols.size() * sizeof(std::uint32_t) +
                  ptr.size() * sizeof(std::uint64_t);

@@ -7,7 +7,6 @@
 #include "api/registry.hh"
 #include "common/bitutil.hh"
 #include "common/logging.hh"
-#include "common/parallel.hh"
 #include "mem/memory_system.hh"
 
 namespace loas {
@@ -44,9 +43,8 @@ GospaSim::prepare(const LayerData& layer) const
     art->b = compileWeightRows(layer.weights);
 
     // A as per-timestep CSC, one stream per batch input: spike counts
-    // per (t, k) column. Columns are independent (column c touches
-    // only the T slots t*k + c), so the count parallelizes per column;
-    // each packed word contributes one ctz per set spike bit.
+    // per (t, k) column, in one row-major pass over the packed words
+    // (each word adds one count per set spike bit).
     art->col_spikes.resize(layer.batchSize());
     art->total_spikes.assign(layer.batchSize(), 0);
     std::size_t bytes = art->b.footprintBytes();
@@ -54,16 +52,17 @@ GospaSim::prepare(const LayerData& layer) const
         const SpikeTensor& spikes = layer.input(b);
         auto& col_spikes = art->col_spikes[b];
         col_spikes.assign(static_cast<std::size_t>(timesteps) * k, 0);
-        parallelFor(k, prepareParallelism(k), [&](std::size_t c) {
-            for (std::size_t r = 0; r < m; ++r) {
-                TimeWord w = spikes.word(r, c);
+        for (std::size_t r = 0; r < m; ++r) {
+            const TimeWord* const row = spikes.rowWords(r);
+            for (std::size_t c = 0; c < k; ++c) {
+                TimeWord w = row[c];
                 while (w) {
                     const int t = lowestSetBit(w);
                     w &= w - 1;
                     ++col_spikes[static_cast<std::size_t>(t) * k + c];
                 }
             }
-        });
+        }
         for (const auto count : col_spikes)
             art->total_spikes[b] += count;
         bytes += col_spikes.size() * sizeof(std::uint32_t);

@@ -232,20 +232,8 @@ SpartenSim::prepareAnn(const AnnLayerData& layer) const
 
     // Both operands compressed as bitmask + int8 values, through the
     // same compiled-operand helpers the SNN prepare phase uses.
-    std::vector<WeightFiber> act_fibers;
-    act_fibers.reserve(m);
-    for (std::size_t r = 0; r < m; ++r) {
-        WeightFiber f;
-        f.mask = Bitmask(k);
-        for (std::size_t c = 0; c < k; ++c)
-            if (layer.acts(r, c) != 0) {
-                f.mask.set(c);
-                f.values.push_back(layer.acts(r, c));
-            }
-        act_fibers.push_back(std::move(f));
-    }
     auto art = std::make_shared<SpartenAnnCompiled>();
-    art->a = compileWeightFibers(std::move(act_fibers));
+    art->a = compileWeightRows(layer.acts);
     art->b = compileWeightColumns(layer.weights);
 
     CompiledLayer out;

@@ -111,15 +111,17 @@ SystolicBase::prepare(const LayerData& layer) const
     for (std::size_t b = 0; b < batch; ++b) {
         const SpikeTensor& spikes = layer.input(b);
         std::array<std::uint64_t, kMaxTimesteps> counts{};
-        for (std::size_t r = 0; r < m; ++r)
+        for (std::size_t r = 0; r < m; ++r) {
+            const TimeWord* const row = spikes.rowWords(r);
             for (std::size_t c = 0; c < k; ++c) {
-                TimeWord w = spikes.word(r, c);
+                TimeWord w = row[c];
                 while (w) {
                     const int t = lowestSetBit(w);
                     w &= w - 1;
                     ++counts[static_cast<std::size_t>(t)];
                 }
             }
+        }
         std::uint64_t max_per_t = 0;
         for (int t = 0; t < timesteps; ++t) {
             art->spikes[b] += counts[static_cast<std::size_t>(t)];

@@ -1,10 +1,11 @@
 /**
  * @file
- * Shared fork-join helper. The SimEngine uses it for the job matrix and
- * the prepare()-phase compilers use it for per-fiber compression, which
- * is embarrassingly parallel: every worker writes a disjoint,
- * preallocated slot, so results are bit-identical whatever the thread
- * count.
+ * The fork-join loop the SimEngine spends its thread budget with.
+ * SimEngine::run is its one caller, for the job matrix and for a
+ * batched cell's inputs. Synthesis, prepare and execute never fork
+ * beneath it, so `--threads N` bounds the threads a run uses. Every
+ * worker writes disjoint, preallocated slots, so results are
+ * bit-identical whatever the thread count.
  */
 
 #pragma once
@@ -76,15 +77,6 @@ parallelForWorkers(std::size_t jobs, int threads, Body&& body)
         std::rethrow_exception(error);
 }
 
-/** parallelForWorkers without the worker index: `body(job_index)`. */
-template <typename Body>
-void
-parallelFor(std::size_t jobs, int threads, Body&& body)
-{
-    const auto per_job = [&body](std::size_t, std::size_t i) { body(i); };
-    parallelForWorkers(jobs, threads, per_job);
-}
-
 /** Requested thread count resolved: 0 = one per hardware thread. */
 inline int
 resolveThreads(int requested)
@@ -93,25 +85,6 @@ resolveThreads(int requested)
         return requested;
     const unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 1 : static_cast<int>(hw);
-}
-
-/**
- * Threads worth spawning for `jobs` per-fiber compression tasks inside
- * one prepare() call. Small layers stay serial — thread startup would
- * dwarf the work — and large ones fan out with enough fibers per worker
- * to amortize it. prepare() may itself be running on an engine worker
- * thread; the CompiledCache compiles each key exactly once, so the
- * transient oversubscription is bounded by the number of distinct
- * format families compiling at that instant.
- */
-inline int
-prepareParallelism(std::size_t jobs)
-{
-    constexpr std::size_t kMinJobsPerThread = 128;
-    if (jobs < 2 * kMinJobsPerThread)
-        return 1;
-    const auto want = static_cast<int>(jobs / kMinJobsPerThread);
-    return std::min(want, resolveThreads(0));
 }
 
 } // namespace loas

@@ -1,21 +1,44 @@
 #include "tensor/compress.hh"
 
+#include "common/bitutil.hh"
 #include "common/logging.hh"
 
 namespace loas {
+
+namespace {
+
+/**
+ * Compress `n` contiguous entries into a mask of the non-zero positions
+ * and their values in position order, reserved to the exact count. One
+ * counting pass and one fill pass, both sequential over `src`.
+ */
+template <typename Value, typename Entry>
+void
+compressRun(const Entry* src, std::size_t n, Bitmask& mask,
+            std::vector<Value>& values)
+{
+    constexpr std::size_t kBits = Bitmask::kWordBits;
+    std::size_t nnz = 0;
+    for (std::size_t i = 0; i < n; ++i)
+        nnz += src[i] != 0 ? 1 : 0;
+    std::vector<std::uint64_t> words(ceilDiv(n, kBits), 0);
+    values.reserve(nnz);
+    for (std::size_t i = 0; i < n; ++i)
+        if (src[i] != 0) {
+            words[i / kBits] |= 1ull << (i % kBits);
+            values.push_back(src[i]);
+        }
+    mask = Bitmask(n, std::move(words));
+}
+
+} // namespace
 
 SpikeFiber
 compressSpikeRow(const SpikeTensor& spikes, std::size_t row)
 {
     SpikeFiber fiber;
-    fiber.mask = Bitmask(spikes.cols());
-    for (std::size_t c = 0; c < spikes.cols(); ++c) {
-        const TimeWord w = spikes.word(row, c);
-        if (w != 0) {
-            fiber.mask.set(c);
-            fiber.values.push_back(w);
-        }
-    }
+    compressRun(spikes.rowWords(row), spikes.cols(), fiber.mask,
+                fiber.values);
     return fiber;
 }
 
@@ -79,15 +102,11 @@ compressWeightColumns(const DenseMatrix<std::int8_t>& weights)
 WeightFiber
 compressWeightRow(const DenseMatrix<std::int8_t>& weights, std::size_t row)
 {
+    if (row >= weights.rows())
+        panic("compressWeightRow: row %zu of %zu", row, weights.rows());
     WeightFiber fiber;
-    fiber.mask = Bitmask(weights.cols());
-    for (std::size_t c = 0; c < weights.cols(); ++c) {
-        const std::int8_t v = weights(row, c);
-        if (v != 0) {
-            fiber.mask.set(c);
-            fiber.values.push_back(v);
-        }
-    }
+    compressRun(weights.data().data() + row * weights.cols(),
+                weights.cols(), fiber.mask, fiber.values);
     return fiber;
 }
 

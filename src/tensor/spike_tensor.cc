@@ -51,6 +51,14 @@ SpikeTensor::rowWords(std::size_t r)
     return words_.data().data() + r * cols_;
 }
 
+const TimeWord*
+SpikeTensor::rowWords(std::size_t r) const
+{
+    if (r >= rows_)
+        panic("rowWords: row %zu of %zu", r, rows_);
+    return words_.data().data() + r * cols_;
+}
+
 bool
 SpikeTensor::spike(std::size_t r, std::size_t c, int t) const
 {

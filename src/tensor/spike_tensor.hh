@@ -54,6 +54,10 @@ class SpikeTensor
      */
     TimeWord* rowWords(std::size_t r);
 
+    /** The cols() packed words of row r, for bulk readers (the fiber
+     *  compressors): one bounds check per row instead of one per word. */
+    const TimeWord* rowWords(std::size_t r) const;
+
     /** Single spike bit at (r, c, t). */
     bool spike(std::size_t r, std::size_t c, int t) const;
 

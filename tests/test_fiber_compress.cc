@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "accel/compiled_layer.hh"
 #include "common/rng.hh"
 #include "tensor/compress.hh"
 
@@ -99,6 +103,58 @@ TEST(WeightFiber, EmptyColumn)
     EXPECT_EQ(fibers[0].nnz(), 1u);
     EXPECT_EQ(fibers[1].nnz(), 0u);
     EXPECT_FALSE(fibers[1].mask.any());
+}
+
+TEST(WeightFiber, CompiledColumnsMatchPerColumnWalk)
+{
+    // compileWeightColumns fills every column in one row-major pass;
+    // each fiber, rank table and offset must equal what a strided
+    // compressWeightColumn walk per column gives, and every value
+    // vector is reserved to its exact size.
+    const std::size_t ks[] = {1, 63, 64, 65, 577};
+    const std::size_t ns[] = {1, 3, 64, 130};
+    const double densities[] = {0.0, 0.05, 0.5, 1.0};
+    std::uint64_t seed = 1;
+    for (const std::size_t k : ks)
+        for (const std::size_t n : ns)
+            for (const double density : densities) {
+                SCOPED_TRACE("k=" + std::to_string(k) +
+                             " n=" + std::to_string(n) +
+                             " density=" + std::to_string(density));
+                Rng rng(seed++);
+                DenseMatrix<std::int8_t> b(k, n, 0);
+                for (auto& v : b.data())
+                    if (rng.bernoulli(density))
+                        v = static_cast<std::int8_t>(
+                            1 + rng.uniformInt(255));
+                const CompiledWeightFibers got = compileWeightColumns(b);
+                ASSERT_EQ(got.fibers.size(), n);
+                ASSERT_EQ(got.ranked.size(), n);
+
+                std::vector<WeightFiber> want;
+                for (std::size_t c = 0; c < n; ++c)
+                    want.push_back(compressWeightColumn(b, c));
+                for (std::size_t c = 0; c < n; ++c) {
+                    const WeightFiber& fiber = got.fibers[c];
+                    EXPECT_EQ(fiber.mask, want[c].mask) << "column " << c;
+                    EXPECT_EQ(fiber.values, want[c].values)
+                        << "column " << c;
+                    EXPECT_EQ(fiber.values.capacity(), fiber.values.size())
+                        << "column " << c;
+                    EXPECT_EQ(&got.ranked[c].mask(), &fiber.mask);
+                    EXPECT_EQ(got.ranked[c].prefixTable(),
+                              RankedBitmask(want[c].mask).prefixTable())
+                        << "column " << c;
+                }
+                EXPECT_EQ(got.meta_off,
+                          cumulativeOffsets(want, [](const WeightFiber& f) {
+                              return f.metadataBytes();
+                          }));
+                EXPECT_EQ(got.val_off,
+                          cumulativeOffsets(want, [](const WeightFiber& f) {
+                              return f.values.size();
+                          }));
+            }
 }
 
 TEST(Compress, AggregateBytes)

@@ -18,6 +18,8 @@
 #include "tensor/ranked_bitmask.hh"
 #include "tensor/spike_tensor.hh"
 
+#include "match_walks.hh"
+
 namespace loas {
 namespace {
 

@@ -11,6 +11,9 @@
  *     instance reproduces the cold run exactly.
  *  3. Result records persisted by an older execute model are never
  *     served: the table's digest is pinned next to the result version.
+ *  4. Compiled artifacts: the serialized prepare() output of every
+ *     (format family, ft variant) is pinned by digest, so a rewritten
+ *     fiber compressor must reproduce the same bytes.
  *
  * Re-capturing the golden table (only when the *modeled hardware*
  * legitimately changes): the DISABLED_PrintGoldenTable test below
@@ -36,6 +39,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <set>
+#include <string>
 
 #include "api/registry.hh"
 #include "workload/artifact_io.hh"
@@ -233,6 +238,80 @@ TEST(GoldenIdentity, ResultVersionTracksGoldenTable)
         << std::hex << goldenTableDigest() << ") with the new version";
     EXPECT_EQ(ArtifactStore::kResultVersion, kPinnedResultVersion)
         << "re-pin the golden digest together with the result version";
+}
+
+// ---------------------------------------------------------------------
+// 4. Compiled artifacts: prepare() must keep producing the same bytes,
+//    however its fiber compressors are written.
+// ---------------------------------------------------------------------
+
+/** FNV-1a over serializeCompiledLayer of every layer `key` prepares
+ *  on `net` (seed 101), in layer order. */
+std::uint64_t
+artifactDigest(const std::string& key, const NetworkSpec& net,
+               std::size_t batch)
+{
+    const auto& registry = AcceleratorRegistry::instance();
+    const auto instance = registry.make(key);
+    std::uint64_t hash = artio::fnv1a(nullptr, 0);
+    for (const LayerData& layer :
+         generateNetwork(net, 101, registry.entry(key).ft_workload,
+                         batch)) {
+        artio::Writer out;
+        EXPECT_TRUE(
+            artio::serializeCompiledLayer(instance->prepare(layer), out));
+        const std::string bytes = out.take();
+        hash = artio::fnv1a(bytes.data(), bytes.size(), hash);
+    }
+    return hash;
+}
+
+TEST(GoldenIdentity, CompiledArtifactsPinned)
+{
+    // One design per (format family, ft variant) the registry reaches;
+    // every other design executes one of these artifacts.
+    struct Case
+    {
+        const char* key;
+        NetworkSpec net;
+        std::size_t batch;
+        std::uint64_t digest;
+    };
+    const Case cases[] = {
+        {"gamma", tables::alexnet(), 1, 0x56c818ce7e2a118aull},
+        {"gamma", tables::alexnet(), 2, 0xac47ba5189aa6a8bull},
+        {"gamma", tables::resnet19(), 1, 0x0a97364a8762bdcfull},
+        {"gospa", tables::alexnet(), 1, 0x46b2eefb80db923dull},
+        {"gospa", tables::alexnet(), 2, 0xb4db278ddc359191ull},
+        {"gospa", tables::resnet19(), 1, 0x9cb563c790f3e654ull},
+        {"loas", tables::alexnet(), 1, 0xd6e7551bf6ec35bdull},
+        {"loas", tables::alexnet(), 2, 0x550f03d1b1b8638cull},
+        {"loas", tables::resnet19(), 1, 0x3d4c9e1cf22193e9ull},
+        {"loas-ft", tables::alexnet(), 1, 0x8c5a2ca66787d697ull},
+        {"loas-ft", tables::alexnet(), 2, 0xee8337533a915d48ull},
+        {"loas-ft", tables::resnet19(), 1, 0x80971810427f3077ull},
+        {"sparten", tables::alexnet(), 1, 0xa7663b8400f5bc92ull},
+        {"sparten", tables::alexnet(), 2, 0x6a5aea4a29d9c9ddull},
+        {"sparten", tables::resnet19(), 1, 0x69c43495df367cdaull},
+        {"systolic", tables::alexnet(), 1, 0x8256aa940b8c6bceull},
+        {"systolic", tables::alexnet(), 2, 0x4b77fba526015723ull},
+        {"systolic", tables::resnet19(), 1, 0x3f64357429d88ca8ull},
+    };
+    const auto& registry = AcceleratorRegistry::instance();
+    std::set<std::string> pinned, reached;
+    for (const Case& c : cases)
+        pinned.insert(registry.make(c.key)->formatFamily() +
+                      (registry.entry(c.key).ft_workload ? "#ft" : ""));
+    for (const auto& key : registry.keys())
+        reached.insert(registry.make(key)->formatFamily() +
+                       (registry.entry(key).ft_workload ? "#ft" : ""));
+    EXPECT_EQ(pinned, reached);
+    for (const Case& c : cases) {
+        const std::uint64_t got = artifactDigest(c.key, c.net, c.batch);
+        EXPECT_EQ(got, c.digest)
+            << c.key << " " << c.net.name << " batch=" << c.batch
+            << ": 0x" << std::hex << got;
+    }
 }
 
 } // namespace

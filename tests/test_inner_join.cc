@@ -11,6 +11,8 @@
 #include "core/kernel_dispatch.hh"
 #include "tensor/compress.hh"
 
+#include "match_walks.hh"
+
 namespace loas {
 namespace {
 

@@ -7,6 +7,8 @@
 #include "common/rng.hh"
 #include "tensor/ranked_bitmask.hh"
 
+#include "match_walks.hh"
+
 namespace loas {
 namespace {
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <ctime>
 #include <filesystem>
 #include <stdexcept>
 
@@ -135,6 +136,35 @@ alexnetRequest(bool with_ft)
     request.seed = 21;
     request.threads = 2;
     return request;
+}
+
+/** CPU seconds a POSIX CPU-time clock reads now. */
+double
+cpuSeconds(clockid_t clock)
+{
+    timespec now{};
+    clock_gettime(clock, &now);
+    return static_cast<double>(now.tv_sec) +
+           1e-9 * static_cast<double>(now.tv_nsec);
+}
+
+TEST(SimEngine, OneThreadRunsOnTheCallingThread)
+{
+    // threads = 1 is the whole budget: a cold run's synthesis, prepare
+    // and execute all spend their CPU on the calling thread.
+    SimRequest request = alexnetRequest(false);
+    request.threads = 1;
+    const double process_start = cpuSeconds(CLOCK_PROCESS_CPUTIME_ID);
+    const double thread_start = cpuSeconds(CLOCK_THREAD_CPUTIME_ID);
+    SimEngine().run(request);
+    const double thread_s =
+        cpuSeconds(CLOCK_THREAD_CPUTIME_ID) - thread_start;
+    const double other_s = cpuSeconds(CLOCK_PROCESS_CPUTIME_ID) -
+                           process_start - thread_s;
+    EXPECT_LT(other_s, 0.05 * thread_s)
+        << "other threads spent " << other_s * 1e3
+        << " ms of CPU against the calling thread's " << thread_s * 1e3
+        << " ms";
 }
 
 TEST(SimEngineSynthesis, ColdRunSynthesizesEachWorkloadOnce)

@@ -18,6 +18,8 @@
 #include "workload/generator.hh"
 #include "workload/networks.hh"
 
+#include "match_walks.hh"
+
 namespace loas {
 namespace {
 

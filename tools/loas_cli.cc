@@ -31,8 +31,9 @@
  *
  *   loas_cli cache stats|clear|warm --cache-dir PATH ...
  *       Manage the on-disk compiled-artifact cache: report occupancy,
- *       delete stored artifacts and result records, or precompile
- *       (warm) the artifacts a later run/sweep would need.
+ *       delete stored artifacts and result records, or warm it: run
+ *       the designs and persist every artifact and result record a
+ *       later run/sweep would replay.
  *
  *   loas_cli serve --socket PATH [--workers N] [--max-depth N] ...
  *       Long-running simulation daemon: accepts concurrent requests
@@ -71,13 +72,11 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <memory>
-#include <set>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -100,7 +99,6 @@
 #include "serve/server.hh"
 #include "workload/artifact_store.hh"
 #include "workload/compiled_cache.hh"
-#include "workload/generator.hh"
 
 namespace {
 
@@ -121,7 +119,7 @@ usage(const char* argv0)
         "           [--json PATH] [cache flags]\n"
         "       loas_cli cache stats|clear --cache-dir PATH\n"
         "       loas_cli cache warm --cache-dir PATH [--accel LIST]\n"
-        "           [--network GRIDS] [--seed N]\n"
+        "           [--network GRIDS] [--seed N] [--threads N]\n"
         "       loas_cli serve --socket PATH [--workers N]\n"
         "           [--engine-threads N] [--max-depth N]\n"
         "           [--timeout-ms MS] [cache flags]\n"
@@ -168,7 +166,8 @@ usage(const char* argv0)
         "  --batch N       inputs per (accel, network) cell; each gets\n"
         "                  an independently-seeded spike tensor, weights\n"
         "                  and compiled artifacts are shared (default 1)\n"
-        "  --threads N     worker threads (default: all cores)\n"
+        "  --threads N     worker threads, the whole budget (default:\n"
+        "                  all cores)\n"
         "  --no-energy     skip the energy model\n"
         "  --json PATH     write the full report as JSON (\"-\": stdout)\n"
         "\n"
@@ -318,7 +317,7 @@ handleFaultFlag(const std::string& arg, ArgCursor& args)
 struct CacheFlags
 {
     std::string dir;
-    std::uint64_t budget_mb = 0;
+    std::uint64_t budget_bytes = 0;
     std::string stats_path;
 };
 
@@ -332,7 +331,13 @@ handleCacheFlag(const std::string& arg, ArgCursor& args,
         return true;
     }
     if (arg == "--cache-mb") {
-        flags.budget_mb = parseUint(arg, args.value(arg));
+        const std::string value = args.value(arg);
+        const std::uint64_t mb = parseUint(arg, value);
+        if (mb > std::numeric_limits<std::uint64_t>::max() >> 20)
+            throw std::invalid_argument(
+                arg + " value '" + value +
+                "' MiB does not fit in a 64-bit byte count");
+        flags.budget_bytes = mb << 20;
         return true;
     }
     if (arg == "--cache-stats") {
@@ -351,7 +356,7 @@ CompiledCache*
 processCache(const CacheFlags& flags)
 {
     CompiledCache& cache = CompiledCache::process();
-    cache.setByteBudget(flags.budget_mb * 1024 * 1024);
+    cache.setByteBudget(flags.budget_bytes);
     cache.setDiskDir(flags.dir);
     return &cache;
 }
@@ -706,11 +711,10 @@ runSweep(int argc, char** argv)
  *   cache stats --cache-dir PATH   occupancy + format versions
  *   cache clear --cache-dir PATH   delete every artifact and record
  *   cache warm  --cache-dir PATH [--accel LIST] [--network GRIDS]
- *               [--seed N]
- *       Precompile the artifacts the given accelerators would need on
- *       the given networks and persist them, so the *first* real run
- *       already skips recompression. Only one compilation happens per
- *       (family, ft-variant) x layer, exactly like an engine run.
+ *               [--seed N] [--threads N]
+ *       Run the given accelerators on the given networks through the
+ *       engine (energy off) and persist every artifact and result
+ *       record, so the *first* real run already replays every layer.
  */
 int
 runCache(int argc, char** argv)
@@ -778,82 +782,32 @@ runCache(int argc, char** argv)
         return 0;
     }
 
-    // warm: compile once per (network, layer, family, ft, t, seed)
-    // key through a disk-backed cache — misses write the files a
-    // later run/sweep with the same --cache-dir will load.
-    const auto& registry = AcceleratorRegistry::instance();
-    struct Variant
-    {
-        std::unique_ptr<Accelerator> instance;
-        bool ft;
-    };
-    std::vector<Variant> variants;
-    std::set<std::string> seen_families;
-    for (const auto& spec_string : splitSpecList(accel_list)) {
-        const AccelSpec spec = parseAccelSpec(spec_string);
-        const bool ft = registry.entry(spec.key).ft_workload;
-        auto instance = registry.make(spec);
-        if (seen_families
-                .insert(instance->formatFamily() +
-                        (ft ? "#ft" : "#plain"))
-                .second)
-            variants.push_back(Variant{std::move(instance), ft});
-    }
+    // warm: one engine run, energy off, over the disk-backed process
+    // cache. Its misses persist every artifact and result record that
+    // a later run/sweep with the same --cache-dir replays.
+    SimRequest request;
+    request.accels = splitSpecList(accel_list);
+    request.networks =
+        expandNetworkGrids(splitNetworkList(network_list));
+    request.seed = seed;
+    request.threads = threads;
+    request.energy = false;
+    request.compiled_cache = processCache(cache_flags);
+    const SimReport report = SimEngine().run(request);
 
-    CompiledCache cache;
-    cache.setByteBudget(cache_flags.budget_mb * 1024 * 1024);
-    cache.setDiskDir(cache_flags.dir);
-    const std::vector<NetworkSpec> networks =
-        expandNetworkGrids(splitSpecList(network_list, ';'));
-    bool want_plain = false, want_ft = false;
-    for (const auto& variant : variants)
-        (variant.ft ? want_ft : want_plain) = true;
-    using Clock = std::chrono::steady_clock;
-    std::uint64_t synth_layers = 0;
-    double synth_ms = 0.0;
-    for (const auto& net : networks) {
-        const auto t_synth = Clock::now();
-        std::vector<LayerData> plain, ft;
-        if (want_plain)
-            plain = generateNetwork(net, seed);
-        if (want_ft)
-            ft = generateNetwork(net, seed, /*ft=*/true);
-        synth_layers += plain.size() + ft.size();
-        synth_ms += std::chrono::duration<double, std::milli>(
-                        Clock::now() - t_synth)
-                        .count();
-        // Warm layers in parallel (--threads): prepare() is const and
-        // builds only locals, so concurrent calls on one instance are
-        // safe, and the cache's per-slot locking keeps each distinct
-        // key once-only.
-        for (const auto& variant : variants) {
-            const auto& layers = variant.ft ? ft : plain;
-            parallelFor(
-                layers.size(), resolveThreads(threads),
-                [&](std::size_t l) {
-                    cache.getOrCompile(
-                        compiledLayerKey(
-                            net.name, l, variant.ft,
-                            variant.instance->formatFamily(),
-                            layers[l].spec.t, seed),
-                        [&] {
-                            return variant.instance->prepare(
-                                layers[l]);
-                        });
-                });
-        }
-    }
-
-    const CompiledCache::Stats stats = cache.stats();
+    const CompiledCache::Stats& stats = report.compile_cache;
     const ArtifactStore::DiskStats disk = store.stats();
-    std::printf("warmed %s: %llu compiled, %llu already on disk, "
-                "%llu files (%.1f KB) total\n",
+    std::printf("warmed %s: %llu compiled, %llu records written, "
+                "%llu artifacts + %llu records (%.1f KB) on disk\n",
                 store.dir().c_str(),
                 static_cast<unsigned long long>(stats.misses),
-                static_cast<unsigned long long>(stats.disk_hits),
+                static_cast<unsigned long long>(stats.result_disk_writes),
                 static_cast<unsigned long long>(disk.files),
-                static_cast<double>(disk.bytes) / 1024.0);
-    return writeCacheStats(cache_flags, stats, synth_layers, synth_ms);
+                static_cast<unsigned long long>(disk.records),
+                static_cast<double>(disk.bytes + disk.record_bytes) /
+                    1024.0);
+    return writeCacheStats(cache_flags, stats, report.synth_layers,
+                           report.synth_ms);
 }
 
 /** `loas_cli version`: one JSON object, every version in one place. */
