@@ -43,39 +43,7 @@ CompiledWeightFibers::footprintBytes() const
 CompiledWeightFibers
 compileWeightColumns(const DenseMatrix<std::int8_t>& weights)
 {
-    // Row-major, the order B is stored in: count every column's
-    // non-zeros, reserve each fiber exactly, then append row by row.
-    // A column's values land in row order, as a walk down the column
-    // would emit them.
-    const std::size_t rows = weights.rows();
-    const std::size_t cols = weights.cols();
-    const std::int8_t* const data = weights.data().data();
-    std::vector<std::size_t> nnz(cols, 0);
-    for (std::size_t r = 0; r < rows; ++r)
-        for (std::size_t c = 0; c < cols; ++c)
-            nnz[c] += data[r * cols + c] != 0 ? 1 : 0;
-
-    const std::size_t n_words = ceilDiv(rows, Bitmask::kWordBits);
-    std::vector<std::vector<std::uint64_t>> words(cols);
-    std::vector<WeightFiber> fibers(cols);
-    for (std::size_t c = 0; c < cols; ++c) {
-        words[c].assign(n_words, 0);
-        fibers[c].values.reserve(nnz[c]);
-    }
-    for (std::size_t r = 0; r < rows; ++r) {
-        const std::size_t w = r / Bitmask::kWordBits;
-        const std::uint64_t bit = 1ull << (r % Bitmask::kWordBits);
-        for (std::size_t c = 0; c < cols; ++c) {
-            const std::int8_t v = data[r * cols + c];
-            if (v != 0) {
-                words[c][w] |= bit;
-                fibers[c].values.push_back(v);
-            }
-        }
-    }
-    for (std::size_t c = 0; c < cols; ++c)
-        fibers[c].mask = Bitmask(rows, std::move(words[c]));
-    return compileWeightFibers(std::move(fibers));
+    return compileWeightFibers(compressWeightColumns(weights));
 }
 
 CompiledWeightFibers

@@ -92,10 +92,37 @@ compressWeightColumn(const DenseMatrix<std::int8_t>& weights,
 std::vector<WeightFiber>
 compressWeightColumns(const DenseMatrix<std::int8_t>& weights)
 {
-    std::vector<WeightFiber> fibers;
-    fibers.reserve(weights.cols());
-    for (std::size_t c = 0; c < weights.cols(); ++c)
-        fibers.push_back(compressWeightColumn(weights, c));
+    // Row-major, the order B is stored in: count every column's
+    // non-zeros, reserve each fiber exactly, then append row by row.
+    // A column's values land in row order, as compressWeightColumn's
+    // walk down the column emits them.
+    constexpr std::size_t kBits = Bitmask::kWordBits;
+    const std::size_t rows = weights.rows();
+    const std::size_t cols = weights.cols();
+    const std::int8_t* const data = weights.data().data();
+    std::vector<std::size_t> nnz(cols, 0);
+    for (std::size_t r = 0; r < rows; ++r)
+        for (std::size_t c = 0; c < cols; ++c)
+            nnz[c] += data[r * cols + c] != 0 ? 1 : 0;
+
+    std::vector<std::vector<std::uint64_t>> words(cols);
+    std::vector<WeightFiber> fibers(cols);
+    for (std::size_t c = 0; c < cols; ++c) {
+        words[c].assign(ceilDiv(rows, kBits), 0);
+        fibers[c].values.reserve(nnz[c]);
+    }
+    for (std::size_t r = 0; r < rows; ++r) {
+        const std::uint64_t bit = 1ull << (r % kBits);
+        for (std::size_t c = 0; c < cols; ++c) {
+            const std::int8_t v = data[r * cols + c];
+            if (v != 0) {
+                words[c][r / kBits] |= bit;
+                fibers[c].values.push_back(v);
+            }
+        }
+    }
+    for (std::size_t c = 0; c < cols; ++c)
+        fibers[c].mask = Bitmask(rows, std::move(words[c]));
     return fibers;
 }
 

@@ -25,11 +25,11 @@ std::vector<SpikeFiber> compressSpikeRows(const SpikeTensor& spikes);
 SpikeTensor decompressSpikeRows(const std::vector<SpikeFiber>& fibers,
                                 std::size_t cols, int timesteps);
 
-/** Compress one column of B into a weight fiber. */
+/** Compress one column of B by a strided walk (the test oracle). */
 WeightFiber compressWeightColumn(const DenseMatrix<std::int8_t>& weights,
                                  std::size_t col);
 
-/** Compress every column of B. */
+/** Compress every column of B in row-major passes, exactly reserved. */
 std::vector<WeightFiber>
 compressWeightColumns(const DenseMatrix<std::int8_t>& weights);
 

@@ -107,10 +107,10 @@ TEST(WeightFiber, EmptyColumn)
 
 TEST(WeightFiber, CompiledColumnsMatchPerColumnWalk)
 {
-    // compileWeightColumns fills every column in one row-major pass;
-    // each fiber, rank table and offset must equal what a strided
-    // compressWeightColumn walk per column gives, and every value
-    // vector is reserved to its exact size.
+    // compileWeightColumns compresses every column in row-major passes
+    // (compressWeightColumns); each fiber, rank table and offset must
+    // equal what a strided compressWeightColumn walk per column gives,
+    // and every value vector is reserved to its exact size.
     const std::size_t ks[] = {1, 63, 64, 65, 577};
     const std::size_t ns[] = {1, 3, 64, 130};
     const double densities[] = {0.0, 0.05, 0.5, 1.0};

@@ -68,6 +68,10 @@
  *                     stdout) — hits, misses, disk hits/writes/
  *                     rejects, result hits, result disk hits/writes,
  *                     evictions, compile_ms
+ *
+ * Exit status: 0 on success; 1 on any error raised inside a subcommand,
+ * a bad flag value included (an overflowing --cache-mb, say); 2 when
+ * the subcommand is missing or unknown (the usage text).
  */
 
 #include <algorithm>
